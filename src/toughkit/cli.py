@@ -203,15 +203,14 @@ def _cmd_verify(args, out) -> int:
             f"unknown suite {args.suite!r}; known: {', '.join(SUITES)} or 'all'"
         )
     reports = run_suites(ids, _make_source(args))
-    failed = False
     for i, rep in enumerate(reports):
         if i:
             print(file=out)
-        print(rep.to_text(), end="", file=out)
-        print(f"# suite {rep.suite}: {rep.elapsed:.2f}s", file=sys.stderr)
-        if rep.verdict == "fail":
-            failed = True
-    return 1 if failed else 0
+        for line in rep.lines():
+            print(line, file=out)
+    # the suites run together graph by graph, so only the sweep has a time
+    print(f"# sweep {reports[0].elapsed:.2f}s", file=sys.stderr)
+    return 1 if any(rep.verdict == "fail" for rep in reports) else 0
 
 
 def _cmd_scan(args, out) -> int:
@@ -284,13 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="isomorphism dedup for the enumeration (default auto)",
         )
         p.add_argument("--source", metavar="FILE", help="graph6 file ('-' = stdin)")
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            metavar="N",
-            help="cap on worker count (evaluation is sequential)",
-        )
         p.set_defaults(func=_cmd_verify if name == "verify" else _cmd_scan)
 
     return parser
@@ -311,9 +303,6 @@ def run(argv: list[str], out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "jobs", 1) is not None and getattr(args, "jobs", 1) < 1:
-        print("toughkit: --jobs must be at least 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args, out)
     except SystemExit2 as exc:

@@ -267,20 +267,24 @@ def split_expand(g: Graph, e: tuple[int, int]) -> Graph:
     e = (u, v) if u < v else (v, u)
     if e in bridges(g):
         raise ValueError(f"edge {e} is a bridge")
-    hood = (g._nbr[u] | g._nbr[v]) & ~(1 << u) & ~(1 << v)
-    members = []
-    m = hood
-    while m:
-        bit = m & -m
-        m ^= bit
-        members.append(bit.bit_length() - 1)
-    new_edges = [
-        (a, b)
-        for i, a in enumerate(members)
-        for b in members[i + 1 :]
-        if not g.has_edge(a, b)
+    return delete_and_complete(g, e)
+
+
+def delete_and_complete(g: Graph, e: tuple[int, int]) -> Graph:
+    """g - e with the open neighborhood of e's endpoints made a clique.
+
+    The construction behind ``split_expand``, without its checks: the caller
+    guarantees that e is an edge (and, for a split result, a non-bridge of
+    a 2K2-free graph).
+    """
+    u, v = e
+    hood = (g._nbr[u] | g._nbr[v]) & ~(1 << u | 1 << v)
+    masks = [
+        m | hood & ~(1 << x) if hood >> x & 1 else m for x, m in enumerate(g._nbr)
     ]
-    return g.delete_edge(u, v).add_edges(new_edges)
+    masks[u] &= ~(1 << v)
+    masks[v] &= ~(1 << u)
+    return Graph._from_masks(g.n, tuple(masks))
 
 
 def recognize_2k2_min_tough(g: Graph) -> Fraction | None:

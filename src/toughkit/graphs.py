@@ -3,7 +3,10 @@
 Vertices are the integers 0..n-1 and neighborhoods are stored as bitmasks,
 which keeps the exhaustive subset searches used elsewhere in the package
 cheap.  Graphs are immutable after construction and every function in this
-module is pure, so everything is safe to share across threads.
+module is pure, so graphs and query results are safe to share across
+threads.  The one exception is the vertex cap: ``set_vertex_cap`` changes a
+process-wide setting that every ``Graph()`` construction reads, so set it
+before any thread starts.
 """
 
 from __future__ import annotations

@@ -3,10 +3,17 @@ graphs, emitting deterministic machine-readable reports.
 
 A source is either an enumeration of all small connected graphs or a
 stream of graph6 lines.  Every graph is classified once (exact toughness,
-minimal toughness, class memberships) and each requested suite evaluates
-its predicate against the classification with exact arithmetic.  Reports
-are byte-stable: records are sorted canonically and elapsed time is kept
-out of the payload.
+minimal toughness, bridges, class memberships) and each requested suite
+evaluates its predicate against the classification with exact arithmetic.
+Reports are byte-stable: records are sorted canonically and elapsed time is
+kept out of the payload.
+
+Each sweep (one ``run_suites`` or ``scan_minimally_tough`` call) owns a
+toughness memo keyed by adjacency.  ``classify`` and T20 ask it for the
+toughness of g, of g - e and of split expansions, so every graph's
+toughness is searched for once per sweep: in a labeled sweep all of those
+graphs are themselves enumerated.  The memo is local to the call and is
+dropped when the sweep ends; nothing is cached across calls.
 
 Suites (all checked with exact rational arithmetic):
 
@@ -29,6 +36,7 @@ Suites (all checked with exact rational arithmetic):
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,14 +44,13 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .enumeration import enumerate_connected_graphs
 from .families import (
+    delete_and_complete,
     recognize_clawfree_half,
     recognize_split_min_tough,
-    split_expand,
 )
 from .graph6 import Graph6Error, encode_graph6, parse_graph6
 from .graphs import Graph, _component_masks, bridges, simplicial_vertices, vertex_connectivity
 from .mintough import (
-    _tau_drops,
     clawfree_half_witness,
     edge_deletion_witness,
     twok2_neighborhood_witness,
@@ -53,7 +60,6 @@ from .recognition import (
     _clawfree_verdict,
     _split_verdict,
     _twok2_verdict,
-    is_split,
 )
 from .toughness import Toughness, toughness
 
@@ -111,40 +117,75 @@ class Graph6Source:
 # -- per-graph classification -----------------------------------------------------
 
 
+class _ToughnessMemo:
+    """Toughness of every graph one sweep asks about, each searched once.
+
+    Keys are the adjacency masks packed into one int together with n; equal
+    values share one ``Toughness`` object, which keeps the memo small.
+    """
+
+    __slots__ = ("_tau", "_values")
+
+    def __init__(self) -> None:
+        self._tau: dict[int, Toughness] = {}
+        self._values: dict[Toughness, Toughness] = {}
+
+    def __call__(self, g: Graph) -> Toughness:
+        key = 0
+        for m in reversed(g._nbr):
+            key = key << g.n | m
+        key = key << 7 | g.n  # n <= 64 fits in 7 bits
+        tau = self._tau.get(key)
+        if tau is None:
+            tau, _ = toughness(g)
+            tau = self._tau[key] = self._values.setdefault(tau, tau)
+        return tau
+
+
 class _Record(NamedTuple):
     g: Graph
     connected: bool
     tau: Toughness
     t: Fraction | None  # minimal toughness value, None if not minimally tough
+    bridges: frozenset[tuple[int, int]]
     chordal: bool
     split: bool
     clawfree: bool
     twok2: bool
+    tau_of: Callable[[Graph], Toughness]  # the sweep's toughness memo
 
     @property
     def g6(self) -> str:
         return encode_graph6(self.g)
 
 
-def classify(g: Graph) -> _Record:
-    """One-pass classification shared by every suite."""
-    connected = g.is_connected()
-    tau, _ = toughness(g)
+def classify(g: Graph, tau_of: Callable[[Graph], Toughness] | None = None) -> _Record:
+    """One-pass classification shared by every suite.
+
+    ``tau_of`` is the sweep's toughness memo; without one, a fresh memo
+    serves this graph alone.  g is minimally t-tough, t = tau(g), when every
+    edge is a bridge or its deletion drops the toughness below t.
+    """
+    if tau_of is None:
+        tau_of = _ToughnessMemo()
+    tau = tau_of(g)
+    bridge_set = bridges(g)
     t: Fraction | None = None
-    if tau.is_finite:
-        tv = tau.value
-        bridge_set = bridges(g)
-        if all(_tau_drops(g, u, v, tv, bridge_set) for u, v in g.edges()):
-            t = tv
+    if tau.is_finite and all(
+        e in bridge_set or tau_of(g.delete_edge(*e)) < tau for e in g.edges()
+    ):
+        t = tau.value
     return _Record(
         g,
-        connected,
+        g.is_connected(),
         tau,
         t,
+        bridge_set,
         _chordal_verdict(g),
         _split_verdict(g),
         _clawfree_verdict(g),
         _twok2_verdict(g),
+        tau_of,
     )
 
 
@@ -153,6 +194,10 @@ def classify(g: Graph) -> _Record:
 
 @dataclass
 class VerificationReport:
+    """One suite's rows over one source.  ``elapsed`` is the wall time of the
+    whole sweep that produced the report: all suites of one ``run_suites``
+    call are evaluated graph by graph together and share that figure."""
+
     suite: str
     source: str
     scanned: int = 0
@@ -168,25 +213,32 @@ class VerificationReport:
             return "report-only"
         return "pass" if not self.violations else "fail"
 
+    def lines(self) -> Iterator[str]:
+        """Stable rendering, one line at a time without line ends; elapsed
+        time is deliberately excluded so identical runs are byte-identical."""
+        yield f"suite {self.suite}"
+        yield f"source {self.source}"
+        for m in self.malformed:
+            yield f"malformed {m}"
+        for g6, d in self.instances:
+            yield f"instance {g6} {d}".rstrip()
+        for g6, d in self.violations:
+            yield f"violation {g6} {d}".rstrip()
+        yield f"scanned {self.scanned}"
+        yield f"malformed-lines {len(self.malformed)}"
+        yield f"instances {len(self.instances)}"
+        yield f"violations {len(self.violations)}"
+        yield f"verdict {self.verdict}"
+
     def to_text(self) -> str:
-        """Stable line-delimited rendering; elapsed time is deliberately
-        excluded so identical runs are byte-identical."""
-        lines = [f"suite {self.suite}", f"source {self.source}"]
-        lines += [f"malformed {m}" for m in self.malformed]
-        lines += [f"instance {g6} {d}".rstrip() for g6, d in self.instances]
-        lines += [f"violation {g6} {d}".rstrip() for g6, d in self.violations]
-        lines += [
-            f"scanned {self.scanned}",
-            f"malformed-lines {len(self.malformed)}",
-            f"instances {len(self.instances)}",
-            f"violations {len(self.violations)}",
-            f"verdict {self.verdict}",
-        ]
-        return "\n".join(lines) + "\n"
+        return "\n".join(self.lines()) + "\n"
 
 
 def _sort_records(rows: list[tuple[str, str]]) -> list[tuple[str, str]]:
-    return sorted(set(rows), key=lambda r: (len(r[0]), r))
+    """Distinct rows by graph6 length, then lexicographically."""
+    out = sorted(set(rows))
+    out.sort(key=lambda r: len(r[0]))
+    return out
 
 
 # -- suite predicates ------------------------------------------------------------
@@ -279,10 +331,9 @@ def _suite_l19(rec: _Record) -> tuple[list[str], list[str]]:
     if not (rec.twok2 and rec.t is not None):
         return [], []
     g = rec.g
-    bridge_set = bridges(g)
     violations = []
     for e in g.edges():
-        if e in bridge_set:
+        if e in rec.bridges:
             continue
         try:
             w = twok2_neighborhood_witness(g, rec.t, e)
@@ -330,19 +381,19 @@ def _suite_t20(rec: _Record) -> tuple[list[str], list[str]]:
     if not (rec.twok2 and rec.connected):
         return [], []
     g = rec.g
-    bridge_set = bridges(g)
     violations = []
     for e in g.edges():
-        if e in bridge_set:
+        if e in rec.bridges:
             continue
-        expanded = split_expand(g, e)
-        tau_minus = toughness(g.delete_edge(*e))[0]
-        tau_exp = toughness(expanded)[0]
+        # the record's twok2 and bridges already give split_expand's preconditions
+        expanded = delete_and_complete(g, e)
+        tau_minus = rec.tau_of(g.delete_edge(*e))
+        tau_exp = rec.tau_of(expanded)
         if tau_exp != tau_minus:
             violations.append(
                 f"edge={e[0]}-{e[1]} tau-expanded={tau_exp} tau-deleted={tau_minus}"
             )
-        if not is_split(expanded).verdict:
+        if not _split_verdict(expanded):
             violations.append(f"edge={e[0]}-{e[1]} expansion-not-split")
     return [], violations
 
@@ -414,23 +465,7 @@ def run_suites(
         for sid in ids
     }
     start = time.monotonic()
-    scanned = 0
-    for g, err in source:
-        if g is None:
-            for rep in reports.values():
-                rep.malformed.append(err or "malformed line")
-            continue
-        scanned += 1
-        rec = classify(g)
-        g6 = None
-        for sid in ids:
-            inst, viol = SUITES[sid](rec)
-            if inst or viol:
-                if g6 is None:
-                    g6 = rec.g6
-                rep = reports[sid]
-                rep.instances += [(g6, d) for d in inst]
-                rep.violations += [(g6, d) for d in viol]
+    scanned = _evaluate(ids, source, reports)
     elapsed = time.monotonic() - start
     out = []
     for sid in ids:
@@ -441,6 +476,36 @@ def run_suites(
         rep.elapsed = elapsed
         out.append(rep)
     return out
+
+
+def _evaluate(
+    ids: list[str],
+    source: EnumerationSource | Graph6Source,
+    reports: dict[str, VerificationReport],
+) -> int:
+    """Classify each graph of the source once and add every suite's rows to
+    its report; returns the number of graphs.  The sweep's toughness memo
+    lives exactly as long as this call."""
+    tau_of = _ToughnessMemo()
+    scanned = 0
+    for g, err in source:
+        if g is None:
+            for rep in reports.values():
+                rep.malformed.append(err or "malformed line")
+            continue
+        scanned += 1
+        rec = classify(g, tau_of)
+        g6 = None
+        for sid in ids:
+            inst, viol = SUITES[sid](rec)
+            if inst or viol:
+                if g6 is None:
+                    g6 = rec.g6
+                rep = reports[sid]
+                # a sweep repeats a few hundred distinct details across its rows
+                rep.instances += [(g6, sys.intern(d)) for d in inst]
+                rep.violations += [(g6, sys.intern(d)) for d in viol]
+    return scanned
 
 
 def run_suite(
@@ -472,11 +537,12 @@ def scan_minimally_tough(
     min-degree comparison.  Returns (rows, malformed line reports)."""
     rows = []
     malformed = []
+    tau_of = _ToughnessMemo()
     for g, err in source:
         if g is None:
             malformed.append(err or "malformed line")
             continue
-        rec = classify(g)
+        rec = classify(g, tau_of)
         if rec.t is None:
             continue
         classes = []

@@ -1,5 +1,9 @@
+import hashlib
 import io
 import os
+import re
+
+import pytest
 
 import zoo
 from toughkit import encode_graph6, format_adjacency
@@ -150,10 +154,40 @@ def test_scan_command():
 
 
 def test_jobs_flag():
-    code, _ = run_cli(["verify", "T4", "--enumerate", "4", "--jobs", "4"])
-    assert code == 0
-    code, _ = run_cli(["verify", "T4", "--enumerate", "4", "--jobs", "0"])
+    # there is no --jobs option: sweeps run in one thread
+    code, out = run_cli(["verify", "T4", "--enumerate", "4", "--jobs", "4"])
+    assert code == 2 and out == ""
+    code, _ = run_cli(["scan", "--enumerate", "4", "--jobs", "4"])
     assert code == 2
+
+
+def test_verify_prints_one_sweep_time(capsys):
+    code, _ = run_cli(["verify", "all", "--enumerate", "4"])
+    assert code == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.fullmatch(r"# sweep \d+\.\d\ds", err[0])
+
+
+@pytest.mark.parametrize(
+    "argv, want_code, want_sha256",
+    [
+        (
+            ["verify", "all", "--enumerate", "5", "--dedup", "never"],
+            1,
+            "7a461f0cea35a1a333dcc262c02c1a0c26c86cd49cf01f9e5b57ca408b034093",
+        ),
+        (
+            ["scan", "--enumerate", "6", "--dedup", "never"],
+            0,
+            "6da340adde22cd826756bfe4199f7c3a91e77505a535a69d67154f8102903b77",
+        ),
+    ],
+)
+def test_sweep_stdout_is_pinned(argv, want_code, want_sha256):
+    # reference outputs: caching toughness within a sweep must not change a byte
+    code, out = run_cli(argv)
+    assert code == want_code
+    assert hashlib.sha256(out.encode()).hexdigest() == want_sha256
 
 
 def test_env_cap_respected():

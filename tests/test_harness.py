@@ -11,7 +11,10 @@ from toughkit import (
     run_suites,
     scan_minimally_tough,
 )
-from toughkit.harness import SUITES
+from toughkit import harness
+from toughkit.harness import SUITES, classify
+from toughkit.enumeration import enumerate_connected_graphs
+from toughkit.mintough import minimal_toughness_value
 
 F = Fraction
 
@@ -132,3 +135,41 @@ def test_all_suites_present():
         "T4", "T7", "T8", "T11", "T12", "T16", "T17",
         "C18", "L19", "L14", "C1", "T20", "KRIESELL", "DEG1",
     }
+
+
+def test_sweep_computes_each_toughness_once(monkeypatch):
+    calls = []
+    real = harness.toughness
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(harness, "toughness", counting)
+    source = lambda: EnumerationSource(range(1, 6), mode="labeled")
+    scanned = run_suites(list(SUITES), source())[0].scanned
+    # every g - e and split expansion that classify and T20 ask about is
+    # itself a connected labeled graph of the sweep, so none is searched twice
+    assert scanned == 1 + 1 + 4 + 38 + 728
+    assert len(calls) == len(set(calls)) == scanned
+    # a second sweep starts from an empty memo
+    run_suites(list(SUITES), source())
+    assert len(calls) == 2 * scanned
+    assert set(calls[:scanned]) == set(calls[scanned:])
+
+
+def test_scan_computes_each_toughness_once(monkeypatch):
+    calls = []
+    real = harness.toughness
+    monkeypatch.setattr(harness, "toughness", lambda g: calls.append(g) or real(g))
+    scan_minimally_tough(EnumerationSource(range(1, 6), mode="labeled"))
+    assert len(calls) == len(set(calls)) == 772
+
+
+@pytest.mark.parametrize(
+    "max_n, dedup", [(5, False), (6, True)], ids=["labeled-n<=5", "dedup-n<=6"]
+)
+def test_classify_matches_minimal_toughness_value(max_n, dedup):
+    for n in range(1, max_n + 1):
+        for g in enumerate_connected_graphs(n, dedup=dedup):
+            assert classify(g).t == minimal_toughness_value(g), g
