@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator
 
-from .graphs import Graph
+from .graphs import Graph, component_count, component_masks
 
 MAX_DEDUP_N = 8
 MAX_LABELED_N = 7
@@ -106,24 +106,9 @@ def _labeled_graphs(n: int, connected_only: bool) -> Iterator[Graph]:
             i, j = pairs[low.bit_length() - 1]
             masks[i] |= 1 << j
             masks[j] |= 1 << i
-        if connected_only and not _connected_masks(masks, full):
+        if connected_only and component_count(masks, full) != 1:
             continue
         yield Graph._from_masks(n, tuple(masks))
-
-
-def _connected_masks(masks: list[int], full: int) -> bool:
-    comp = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            b = f & -f
-            f ^= b
-            nxt |= masks[b.bit_length() - 1]
-        frontier = nxt & ~comp
-        comp |= frontier
-    return comp == full
 
 
 def _dedup_representatives(n: int) -> list[Graph]:
@@ -184,33 +169,20 @@ def _tree_key(g: Graph) -> tuple:
     def rooted(v: int, parent: int) -> tuple:
         return tuple(sorted(rooted(w, v) for w in g.neighbors(v) if w != parent))
 
-    # Centroid(s): vertices minimizing the largest branch.  O(n^2), n is tiny.
+    # Centroid(s): vertices minimizing the largest branch, that is the largest
+    # component left when the vertex is removed.  O(n^2), n is tiny.
+    full = (1 << g.n) - 1
     centroids: list[int] = []
     best_weight = g.n + 1
     for v in range(g.n):
-        heaviest = 0
-        for w in g.neighbors(v):
-            heaviest = max(heaviest, _branch_size(g, w, v))
+        branches = component_masks(g._nbr, full ^ (1 << v))
+        heaviest = max((m.bit_count() for m in branches), default=0)
         if heaviest < best_weight:
             best_weight = heaviest
             centroids = [v]
         elif heaviest == best_weight:
             centroids.append(v)
     return min(rooted(c, -1) for c in centroids)
-
-
-def _branch_size(g: Graph, root: int, banned: int) -> int:
-    seen = {root, banned}
-    stack = [root]
-    count = 1
-    while stack:
-        v = stack.pop()
-        for w in g.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-                count += 1
-    return count
 
 
 def enumerate_trees(n: int) -> Iterator[Graph]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, blocks, bridges
+from .graphs import Graph, blocks, bridges, component_count
 from .recognition import _clawfree_verdict, _twok2_verdict
 from .toughness import Toughness, toughness
 
@@ -265,7 +265,8 @@ def split_expand(g: Graph, e: tuple[int, int]) -> Graph:
     if not g.has_edge(u, v):
         raise ValueError(f"({u},{v}) is not an edge")
     e = (u, v) if u < v else (v, u)
-    if e in bridges(g):
+    full = (1 << g.n) - 1
+    if component_count(g.delete_edge(*e)._nbr, full) > component_count(g._nbr, full):
         raise ValueError(f"edge {e} is a bridge")
     return delete_and_complete(g, e)
 
@@ -292,11 +293,12 @@ def recognize_2k2_min_tough(g: Graph) -> Fraction | None:
     after the first deletion.
 
     Bridges always drop the toughness; a non-bridge edge counts as dropping
-    when its expansion ``split_expand`` has toughness below t.  The
-    expansion's toughness is at least that of g - e, so a returned value is
-    always the minimal toughness value.  None can be wrong, because the
-    expansion can hide a drop: on the net (minimally 1/2-tough) and on the
-    graph6 graph "F?NN_" (minimally 2/3-tough) this returns None.
+    when its expansion ``delete_and_complete`` (the graph ``split_expand``
+    returns) has toughness below t.  The expansion's toughness is at least
+    that of g - e, so a returned value is always the minimal toughness
+    value.  None can be wrong, because the expansion can hide a drop: on
+    the net (minimally 1/2-tough) and on the graph6 graph "F?NN_"
+    (minimally 2/3-tough) this returns None.
     """
     if not _twok2_verdict(g):
         raise ValueError("graph has an induced pair of independent edges")
@@ -308,7 +310,7 @@ def recognize_2k2_min_tough(g: Graph) -> Fraction | None:
     for edge_ in g.edges():
         if edge_ in bridge_set:
             continue
-        expanded = split_expand(g, edge_)
+        expanded = delete_and_complete(g, edge_)
         if not (toughness(expanded)[0] < Toughness.finite(t)):
             return None
     return t

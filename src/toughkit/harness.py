@@ -49,7 +49,7 @@ from .families import (
     recognize_split_min_tough,
 )
 from .graph6 import Graph6Error, encode_graph6, parse_graph6
-from .graphs import Graph, _component_masks, bridges, simplicial_vertices, vertex_connectivity
+from .graphs import Graph, bridges, component_masks, simplicial_vertices, vertex_connectivity
 from .mintough import (
     clawfree_half_witness,
     edge_deletion_witness,
@@ -317,7 +317,7 @@ def _suite_c18(rec: _Record) -> tuple[list[str], list[str]]:
     full = (1 << g.n) - 1
     violations = []
     for removed in range(1, full):
-        comps = _component_masks(g._nbr, full, removed)
+        comps = component_masks(g._nbr, full ^ removed)
         if len(comps) < 2:
             continue
         big = sum(1 for m in comps if m.bit_count() >= 2)

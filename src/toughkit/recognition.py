@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable
 
-from .graphs import Graph, _mask_to_tuple
+from .graphs import Graph, _mask_to_tuple, component_count, set_to_mask, simplicial_in
 
 CHORDAL = "chordal"
 SPLIT = "split"
@@ -41,56 +42,39 @@ class ClassCertificate:
 # -- chordal ---------------------------------------------------------------------
 
 
-def _simplicial_in(masks: tuple[int, ...], remaining: int, v: int) -> bool:
-    nv = masks[v] & remaining
-    m = nv
-    while m:
-        b = m & -m
-        m ^= b
-        if (nv & ~b) & ~masks[b.bit_length() - 1]:
-            return False
-    return True
-
-
-def _chordal_verdict(g: Graph) -> bool:
+def _elimination_order(g: Graph) -> list[int]:
+    """Repeatedly remove the smallest simplicial vertex of the remaining
+    induced subgraph; the removed vertices, in order.  They cover all of g
+    exactly when g is chordal."""
     masks = g._nbr
     remaining = (1 << g.n) - 1
+    order = []
     while remaining:
         m = remaining
-        found = False
         while m:
             b = m & -m
             m ^= b
             v = b.bit_length() - 1
-            if _simplicial_in(masks, remaining, v):
+            if simplicial_in(masks, remaining, v):
+                order.append(v)
                 remaining ^= b
-                found = True
                 break
-        if not found:
-            return False
-    return True
+        else:
+            break
+    return order
+
+
+def _chordal_verdict(g: Graph) -> bool:
+    return len(_elimination_order(g)) == g.n
 
 
 def _induces_cycle(g: Graph, vs: tuple[int, ...]) -> bool:
-    mask = 0
-    for v in vs:
-        mask |= 1 << v
+    mask = set_to_mask(vs)
     # induced degrees all 2 and connected => a single chordless cycle
     for v in vs:
         if (g._nbr[v] & mask).bit_count() != 2:
             return False
-    seen = 1 << vs[0]
-    frontier = seen
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            b = f & -f
-            f ^= b
-            nxt |= g._nbr[b.bit_length() - 1]
-        frontier = nxt & mask & ~seen
-        seen |= frontier
-    return seen == mask
+    return component_count(g._nbr, mask) == 1
 
 
 def _lex_min_chordless_cycle(g: Graph) -> tuple[int, ...]:
@@ -111,83 +95,30 @@ def is_chordal(g: Graph) -> ClassCertificate:
     the smallest simplicial vertex of the remaining induced subgraph;
     rejects with a chordless cycle.
     """
-    masks = g._nbr
-    remaining = (1 << g.n) - 1
-    order = []
-    while remaining:
-        m = remaining
-        found = False
-        while m:
-            b = m & -m
-            m ^= b
-            v = b.bit_length() - 1
-            if _simplicial_in(masks, remaining, v):
-                order.append(v)
-                remaining ^= b
-                found = True
-                break
-        if not found:
-            return ClassCertificate(
-                CHORDAL, False, witness=_lex_min_chordless_cycle(g)
-            )
+    order = _elimination_order(g)
+    if len(order) < g.n:
+        return ClassCertificate(CHORDAL, False, witness=_lex_min_chordless_cycle(g))
     return ClassCertificate(CHORDAL, True, elimination_order=tuple(order))
 
 
 # -- split -----------------------------------------------------------------------
 
 
-def _split_verdict(g: Graph) -> bool:
-    # Degree-sequence test: with d1 >= d2 >= ... and m = max{i : d_i >= i-1},
-    # the graph is split iff sum_{i<=m} d_i = m(m-1) + sum_{i>m} d_i.
-    d = sorted((x.bit_count() for x in g._nbr), reverse=True)
+def _split_threshold(degrees: Iterable[int]) -> int | None:
+    """Hammer-Simeone degree-sequence test.  With d1 >= d2 >= ... and
+    m = max{i : d_i >= i-1}, the graph is split iff
+    sum_{i<=m} d_i = m(m-1) + sum_{i>m} d_i; returns m for a split graph,
+    where it is the clique number, and None otherwise."""
+    d = sorted(degrees, reverse=True)
     m = 0
     for i, di in enumerate(d, start=1):
         if di >= i - 1:
             m = i
-    return sum(d[:m]) == m * (m - 1) + sum(d[m:])
+    return m if sum(d[:m]) == m * (m - 1) + sum(d[m:]) else None
 
 
-def _maximum_cliques(g: Graph) -> list[tuple[int, ...]]:
-    """All maximum cliques, as sorted vertex tuples (desk scale)."""
-    best: list[tuple[int, ...]] = [()]
-    n = g.n
-
-    def extend(clique: list[int], cands: int) -> None:
-        if not cands:
-            if len(clique) > len(best[0]):
-                best.clear()
-                best.append(tuple(clique))
-            elif len(clique) == len(best[0]):
-                best.append(tuple(clique))
-            return
-        if len(clique) + cands.bit_count() < len(best[0]):
-            return
-        m = cands
-        while m:
-            b = m & -m
-            m ^= b
-            v = b.bit_length() - 1
-            clique.append(v)
-            extend(clique, m & g._nbr[v])
-            clique.pop()
-        if len(clique) > len(best[0]):
-            best.clear()
-            best.append(tuple(clique))
-        elif len(clique) == len(best[0]) and clique:
-            best.append(tuple(clique))
-
-    extend([], (1 << n) - 1)
-    return sorted(set(best))
-
-
-def _independent_mask(g: Graph, mask: int) -> bool:
-    m = mask
-    while m:
-        b = m & -m
-        m ^= b
-        if g._nbr[b.bit_length() - 1] & mask:
-            return False
-    return True
+def _split_verdict(g: Graph) -> bool:
+    return _split_threshold(x.bit_count() for x in g._nbr) is not None
 
 
 def _lex_min_split_obstruction(g: Graph) -> tuple[int, ...]:
@@ -207,27 +138,36 @@ def _lex_min_split_obstruction(g: Graph) -> tuple[int, ...]:
 def is_split(g: Graph) -> ClassCertificate:
     """Test whether the vertices split into a clique plus an independent set.
 
-    Acceptance extracts a partition by scanning the maximum cliques for one
-    whose complement is independent (one always exists in a split graph);
-    rejection produces an induced 2K2, C4 or C5.
+    Acceptance reads the partition off the degree-sequence test: its
+    threshold m is the clique number, and in a partition with a maximum
+    clique every vertex of degree >= m is on the clique side and every
+    vertex of degree <= m-2 on the independent side.  The clique is
+    completed with the lex-first combination of degree-(m-1) vertices that
+    leaves an independent complement, so the certificate is the
+    lexicographically least such maximum clique.  Rejection produces an
+    induced 2K2, C4 or C5.
     """
+    nbr = g._nbr
+    degrees = g.degrees()
+    m = _split_threshold(degrees)
+    if m is None:
+        return ClassCertificate(SPLIT, False, witness=_lex_min_split_obstruction(g))
     full = (1 << g.n) - 1
-    valid = []
-    for clique in _maximum_cliques(g):
-        cmask = 0
-        for v in clique:
-            cmask |= 1 << v
-        if _independent_mask(g, full & ~cmask):
-            valid.append((clique, full & ~cmask))
-    if valid:
-        clique, imask = valid[0]  # lex-least maximum clique among valid ones
-        return ClassCertificate(
-            SPLIT,
-            True,
-            clique=frozenset(clique),
-            independent=frozenset(_mask_to_tuple(imask)),
-        )
-    return ClassCertificate(SPLIT, False, witness=_lex_min_split_obstruction(g))
+    forced = set_to_mask(v for v, d in enumerate(degrees) if d >= m)
+    loose = [v for v, d in enumerate(degrees) if d == m - 1]
+    for extra in combinations(loose, m - forced.bit_count()):
+        clique = forced | set_to_mask(extra)
+        rest = full ^ clique
+        if all(clique & ~nbr[v] == 1 << v for v in _mask_to_tuple(clique)) and all(
+            not nbr[v] & rest for v in _mask_to_tuple(rest)
+        ):
+            return ClassCertificate(
+                SPLIT,
+                True,
+                clique=frozenset(_mask_to_tuple(clique)),
+                independent=frozenset(_mask_to_tuple(rest)),
+            )
+    raise RuntimeError("no clique/independent partition at the split threshold")
 
 
 # -- claw-free -------------------------------------------------------------------
@@ -245,9 +185,7 @@ def _clawfree_verdict(g: Graph) -> bool:
 
 
 def _induces_claw(g: Graph, vs: tuple[int, ...]) -> bool:
-    mask = 0
-    for v in vs:
-        mask |= 1 << v
+    mask = set_to_mask(vs)
     degs = sorted((g._nbr[v] & mask).bit_count() for v in vs)
     return degs == [1, 1, 1, 3]
 
@@ -281,9 +219,7 @@ def _twok2_verdict(g: Graph) -> bool:
 
 
 def _induces_2k2(g: Graph, vs: tuple[int, ...]) -> bool:
-    mask = 0
-    for v in vs:
-        mask |= 1 << v
+    mask = set_to_mask(vs)
     return all((g._nbr[v] & mask).bit_count() == 1 for v in vs)
 
 

@@ -17,9 +17,9 @@ from typing import Iterable
 
 from .graphs import (
     Graph,
-    _component_count,
-    _component_masks,
     _mask_to_tuple,
+    component_count,
+    component_masks,
     set_to_mask,
     vertex_connectivity,
 )
@@ -131,7 +131,7 @@ class WitnessSet:
     def revalidate(self, g: Graph) -> bool:
         """Recompute everything from the graph and check consistency."""
         full = (1 << g.n) - 1
-        omega = _component_count(g._nbr, full, set_to_mask(self.vertices))
+        omega = component_count(g._nbr, full & ~set_to_mask(self.vertices))
         return (
             self.cut_size == len(self.vertices)
             and self.component_count == omega
@@ -148,7 +148,7 @@ def witness_for(g: Graph, vertices: Iterable[int]) -> WitnessSet:
     """Build the WitnessSet for an explicit cutset (errors if not a cutset)."""
     vs = frozenset(vertices)
     full = (1 << g.n) - 1
-    omega = _component_count(g._nbr, full, set_to_mask(vs))
+    omega = component_count(g._nbr, full & ~set_to_mask(vs))
     if omega < 2:
         raise ValueError(f"{sorted(vs)} is not a cutset (leaves {omega} component(s))")
     return WitnessSet(vs, len(vs), omega, Fraction(len(vs), omega))
@@ -169,7 +169,7 @@ def toughness(g: Graph) -> tuple[Toughness, WitnessSet | None]:
         return Toughness.infinite(), None
     nbr = g._nbr
     full = (1 << n) - 1
-    omega0 = _component_count(nbr, full, 0)
+    omega0 = component_count(nbr, full)
     if omega0 >= 2:
         return Toughness.zero(), WitnessSet(frozenset(), 0, omega0, Fraction(0))
     best_num, best_den = n, 1  # ratio n/1 beats any real cutset ratio
@@ -183,7 +183,7 @@ def toughness(g: Graph) -> tuple[Toughness, WitnessSet | None]:
             removed = 0
             for v in combo:
                 removed |= 1 << v
-            omega = _component_count(nbr, full, removed)
+            omega = component_count(nbr, full ^ removed)
             if omega >= 2 and size * best_den < best_num * omega:
                 best_num, best_den = size, omega
                 best_set = combo
@@ -207,11 +207,11 @@ def naive_toughness_oracle(g: Graph) -> Toughness:
         return Toughness.infinite()
     nbr = g._nbr
     full = (1 << n) - 1
-    if _component_count(nbr, full, 0) >= 2:
+    if component_count(nbr, full) >= 2:
         return Toughness.zero()
     best: Fraction | None = None
     for removed in range(1, full + 1):
-        omega = _component_count(nbr, full, removed)
+        omega = component_count(nbr, full ^ removed)
         if omega >= 2:
             ratio = Fraction(removed.bit_count(), omega)
             if best is None or ratio < best:
@@ -236,7 +236,7 @@ def is_t_tough(g: Graph, t: Fraction | int) -> tuple[bool, WitnessSet | None]:
         return True, None
     nbr = g._nbr
     full = (1 << n) - 1
-    omega0 = _component_count(nbr, full, 0)
+    omega0 = component_count(nbr, full)
     if omega0 >= 2:
         return False, WitnessSet(frozenset(), 0, omega0, Fraction(0))
     p, q = t.numerator, t.denominator
@@ -247,7 +247,7 @@ def is_t_tough(g: Graph, t: Fraction | int) -> tuple[bool, WitnessSet | None]:
             removed = 0
             for v in combo:
                 removed |= 1 << v
-            omega = _component_count(nbr, full, removed)
+            omega = component_count(nbr, full ^ removed)
             if omega < 2:
                 continue
             score = p * omega - q * size
@@ -300,7 +300,7 @@ def validate_tough_set(
         vs = frozenset(s)
     full = (1 << g.n) - 1
     removed = set_to_mask(vs)
-    comp_masks = _component_masks(g._nbr, full, removed)
+    comp_masks = component_masks(g._nbr, full & ~removed)
     if len(comp_masks) < 2:
         raise ValueError(f"{sorted(vs)} is not a cutset")
     problems: list[str] = []

@@ -6,7 +6,7 @@ import re
 import pytest
 
 import zoo
-from toughkit import encode_graph6, format_adjacency
+from toughkit import encode_graph6, enumerate_connected_graphs, format_adjacency
 from toughkit.cli import run
 
 
@@ -188,6 +188,21 @@ def test_sweep_stdout_is_pinned(argv, want_code, want_sha256):
     code, out = run_cli(argv)
     assert code == want_code
     assert hashlib.sha256(out.encode()).hexdigest() == want_sha256
+
+
+def test_classify_stdout_is_pinned():
+    # reference output: chordal orders, split partitions and obstruction
+    # witnesses of every connected graph class n <= 6, byte for byte
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        for g in enumerate_connected_graphs(n, dedup=True):
+            code, out = run_cli(["classify"], stdin_text=encode_graph6(g) + "\n")
+            assert code == 0
+            digest.update(out.encode())
+    assert (
+        digest.hexdigest()
+        == "307206299e2d1281a41fe55f1df53567f3a15da12ae25644681a9cd2944fbece"
+    )
 
 
 def test_env_cap_respected():

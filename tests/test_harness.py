@@ -158,6 +158,27 @@ def test_sweep_computes_each_toughness_once(monkeypatch):
     assert set(calls[:scanned]) == set(calls[scanned:])
 
 
+def test_sweep_computes_bridges_once(monkeypatch):
+    from toughkit import families, graphs, mintough
+
+    calls = []
+    real = graphs.bridges
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    for module in (graphs, harness, mintough, families):
+        if hasattr(module, "bridges"):
+            monkeypatch.setattr(module, "bridges", counting)
+    source = EnumerationSource(range(1, 6), mode="labeled")
+    scanned = run_suites(list(SUITES), source)[0].scanned
+    # classify computes the bridges; the suites and witnesses reuse them or
+    # test one edge with two component counts
+    assert scanned == 772
+    assert len(calls) == len(set(calls)) == scanned
+
+
 def test_scan_computes_each_toughness_once(monkeypatch):
     calls = []
     real = harness.toughness

@@ -87,6 +87,37 @@ def test_split_partition_revalidates():
             assert _induces_2k2(g, w) or _induces_cycle(g, w)
 
 
+def _lex_least_split_clique(g):
+    """Brute-force reference: the lexicographically least maximum clique
+    whose complement is independent, or None when no maximum clique has an
+    independent complement."""
+    vertices = range(g.n)
+    for size in range(g.n, -1, -1):
+        cliques = [
+            c
+            for c in combinations(vertices, size)
+            if all(g.has_edge(u, v) for u, v in combinations(c, 2))
+        ]
+        if cliques:
+            break
+    for c in cliques:
+        rest = [v for v in vertices if v not in c]
+        if not any(g.has_edge(u, v) for u, v in combinations(rest, 2)):
+            return c
+    return None
+
+
+def test_split_partition_is_lex_least_maximum_clique():
+    for n in range(0, 7):
+        for g in _labeled_graphs(n, connected_only=False):
+            want = _lex_least_split_clique(g)
+            cert = is_split(g)
+            assert cert.verdict == (want is not None)
+            if want is not None:
+                assert cert.clique == frozenset(want)
+                assert cert.independent == frozenset(range(g.n)) - cert.clique
+
+
 def test_split_iff_forbidden_free():
     # the partition-based recognizer agrees with the forbidden-subgraph scan
     for n in range(1, 7):
