@@ -120,19 +120,22 @@ def minimal_toughness_value(g: Graph) -> Fraction | None:
 
     An edge drops the toughness when it is a bridge (g is connected) or
     when G-e has a cutset S with c(S) > |S|/t; the search for S stops at
-    the first one.  Queries do not use the sweep's form ``tau(g - e) < t``
-    over a memo: on the benchmark's single graphs with 14-18 vertices it
-    took 10.2x as long in all, and up to 35x on the circulants C_n(1,2).
+    the first one.  It leaves out the edge's endpoints: if S holds one,
+    (G-e)-S = G-S, which has c(S) <= |S|/t since t = tau(g).  Queries do
+    not use the sweep's form ``tau(g - e) < t`` over a memo: on the
+    benchmark's single graphs with 14-18 vertices it took 10.2x as long in
+    all, and up to 35x on the circulants C_n(1,2).
     """
     tau, _ = toughness(g)
     if not tau.is_finite:
         return None
     t = tau.value
     full = (1 << g.n) - 1
-    for e in g.edges():
-        masks = g.delete_edge(*e)._nbr
+    for u, v in g.edges():
+        masks = g.delete_edge(u, v)._nbr
+        pool = tuple(x for x in range(g.n) if x != u and x != v)
         if component_count(masks, full) == 1 and _first_violating_cutset(
-            masks, g.n, t
+            masks, g.n, t, candidates=pool
         ) is None:
             return None
     return t

@@ -78,14 +78,41 @@ def _induces_cycle(g: Graph, vs: tuple[int, ...]) -> bool:
 
 
 def _lex_min_chordless_cycle(g: Graph) -> tuple[int, ...]:
-    candidates = []
-    for size in range(4, g.n + 1):
-        for vs in combinations(range(g.n), size):
-            if _induces_cycle(g, vs):
-                candidates.append(vs)
-    if not candidates:
+    """The lexicographically least sorted vertex tuple inducing a cycle of
+    length >= 4.
+
+    A preorder DFS over sorted tuples visits them in lexicographic order, so
+    its first hit is the least.  Extensions only add vertices above the last
+    one, so a prefix is cut off when a vertex has induced degree > 2, when a
+    vertex of degree d < 2 has fewer than 2 - d neighbors above the last
+    vertex, or when every degree is 2 (a union of cycles, closed to growth).
+    """
+    nbr, n = g._nbr, g.n
+
+    def extend(prefix: tuple[int, ...], mask: int) -> tuple[int, ...] | None:
+        for v in range(prefix[-1] + 1 if prefix else 0, n):
+            vs = prefix + (v,)
+            grown = mask | 1 << v
+            above = -1 << (v + 1)
+            closed = True
+            for x in vs:
+                d = (nbr[x] & grown).bit_count()
+                if d > 2 or (nbr[x] & above).bit_count() < 2 - d:
+                    break
+                closed = closed and d == 2
+            else:
+                if not closed:
+                    found = extend(vs, grown)
+                    if found is not None:
+                        return found
+                elif len(vs) >= 4 and component_count(nbr, grown) == 1:
+                    return vs
+        return None
+
+    found = extend((), 0)
+    if found is None:
         raise RuntimeError("no chordless cycle found in a non-chordal graph")
-    return min(candidates)
+    return found
 
 
 def is_chordal(g: Graph) -> ClassCertificate:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable
+from itertools import accumulate, combinations
+from typing import Iterable, Sequence
 
 from .graphs import (
     Graph,
@@ -129,9 +129,12 @@ class WitnessSet:
     ratio: Fraction
 
     def revalidate(self, g: Graph) -> bool:
-        """Recompute everything from the graph and check consistency."""
+        """Recompute everything from the graph and check consistency.  A set
+        holding a vertex outside the graph is not a cutset of it."""
+        if any(not 0 <= v < g.n for v in self.vertices):
+            return False
         full = (1 << g.n) - 1
-        omega = component_count(g._nbr, full & ~set_to_mask(self.vertices))
+        omega = component_count(g._nbr, full ^ set_to_mask(self.vertices))
         return (
             self.cut_size == len(self.vertices)
             and self.component_count == omega
@@ -145,13 +148,50 @@ class WitnessSet:
 
 
 def witness_for(g: Graph, vertices: Iterable[int]) -> WitnessSet:
-    """Build the WitnessSet for an explicit cutset (errors if not a cutset)."""
+    """Build the WitnessSet for an explicit cutset (errors if not a cutset,
+    or if a vertex lies outside the graph)."""
     vs = frozenset(vertices)
+    if any(not 0 <= v < g.n for v in vs):
+        raise ValueError(f"{sorted(vs)} has a vertex outside 0..{g.n - 1}")
     full = (1 << g.n) - 1
-    omega = component_count(g._nbr, full & ~set_to_mask(vs))
+    omega = component_count(g._nbr, full ^ set_to_mask(vs))
     if omega < 2:
         raise ValueError(f"{sorted(vs)} is not a cutset (leaves {omega} component(s))")
     return WitnessSet(vs, len(vs), omega, Fraction(len(vs), omega))
+
+
+def _independence_number(nbr: Sequence[int], pool: int) -> int:
+    """Size of a largest independent set of the graph induced on ``pool``."""
+    if not pool:
+        return 0
+    best_v, best_d = -1, -1
+    m = pool
+    while m:
+        b = m & -m
+        m ^= b
+        v = b.bit_length() - 1
+        d = (nbr[v] & pool).bit_count()
+        if d <= 1:
+            # some largest independent set holds a vertex of degree <= 1
+            return 1 + _independence_number(nbr, pool & ~(b | nbr[v]))
+        if d > best_d:
+            best_v, best_d = v, d
+    b = 1 << best_v
+    return max(
+        _independence_number(nbr, pool ^ b),
+        1 + _independence_number(nbr, pool & ~(b | nbr[best_v])),
+    )
+
+
+def _alpha_sums(nbr: Sequence[int]) -> list[int]:
+    """Entry s is the sum of the s largest alpha(G[N(v)]).
+
+    A vertex v of a cutset S touches at most alpha(G[N(v)]) components of
+    G-S (one neighbor in each is an independent set), and every component
+    has at least kappa neighbors in S, so kappa * c(G-S) <= entry |S|.
+    """
+    alphas = sorted((_independence_number(nbr, m) for m in nbr), reverse=True)
+    return list(accumulate(alphas, initial=0))
 
 
 def toughness(g: Graph) -> tuple[Toughness, WitnessSet | None]:
@@ -162,7 +202,10 @@ def toughness(g: Graph) -> tuple[Toughness, WitnessSet | None]:
     increasing size, lexicographic within a size, keeping the first strict
     improvement, and stops once no remaining size can beat the incumbent;
     the witness is therefore the smallest minimizing cutset, ties broken by
-    lexicographically least vertex tuple.
+    lexicographically least vertex tuple.  A size s is out of reach when
+    s/(n - s) or kappa*s/A_s reaches the incumbent, where kappa is the size
+    of the first cutset found and A_s is entry s of ``_alpha_sums``; both
+    bounds grow with s, so the search stops at the first such size.
     """
     n = g.n
     if g.is_complete():
@@ -175,10 +218,18 @@ def toughness(g: Graph) -> tuple[Toughness, WitnessSet | None]:
     best_num, best_den = n, 1  # ratio n/1 beats any real cutset ratio
     best_set: tuple[int, ...] = ()
     best_omega = 0
+    kappa = 0
+    alpha_sums = None  # built once kappa is known and still needed
     for size in range(1, n - 1):
         # every cutset of this size has ratio >= size/(n - size)
         if size * best_den >= best_num * (n - size):
             break
+        if kappa:
+            # ... and ratio >= kappa*size/A_size
+            if alpha_sums is None:
+                alpha_sums = _alpha_sums(nbr)
+            if kappa * size * best_den >= best_num * alpha_sums[size]:
+                break
         for combo in combinations(range(n), size):
             removed = 0
             for v in combo:
@@ -188,6 +239,8 @@ def toughness(g: Graph) -> tuple[Toughness, WitnessSet | None]:
                 best_num, best_den = size, omega
                 best_set = combo
                 best_omega = omega
+        if best_omega and not kappa:
+            kappa = size
     ratio = Fraction(best_num, best_den)
     return (
         Toughness.finite(ratio),
@@ -226,7 +279,10 @@ def is_t_tough(g: Graph, t: Fraction | int) -> tuple[bool, WitnessSet | None]:
     Complete graphs are t-tough for every t; disconnected graphs for none
     (witnessed by the empty set).  On a negative answer the returned witness
     maximizes c(S) * t - |S|, ties broken by smallest size then
-    lexicographically least vertex tuple.
+    lexicographically least vertex tuple.  With t = p/q, a size s is
+    skipped when p*min(n - s, A_s // k) - q*s cannot beat the best score,
+    where A_s is entry s of ``_alpha_sums`` and k <= kappa: every size below
+    k was scanned and held no cutset.
     """
     t = Fraction(t)
     if t <= 0:
@@ -242,7 +298,16 @@ def is_t_tough(g: Graph, t: Fraction | int) -> tuple[bool, WitnessSet | None]:
     p, q = t.numerator, t.denominator
     best_score = 0  # p*omega - q*size, positive = violation
     best: WitnessSet | None = None
+    k = 1
+    alpha_sums = _alpha_sums(nbr)
     for size in range(1, n - 1):
+        # p*(n - size) - q*size falls as size grows: no later size can win
+        if p * (n - size) - q * size <= best_score:
+            break
+        # the kappa bound does not fall monotonically: skip this size only
+        if p * (alpha_sums[size] // k) - q * size <= best_score:
+            continue
+        cut_seen = False
         for combo in combinations(range(n), size):
             removed = 0
             for v in combo:
@@ -250,12 +315,16 @@ def is_t_tough(g: Graph, t: Fraction | int) -> tuple[bool, WitnessSet | None]:
             omega = component_count(nbr, full ^ removed)
             if omega < 2:
                 continue
+            cut_seen = True
             score = p * omega - q * size
             if score > best_score:
                 best_score = score
                 best = WitnessSet(
                     frozenset(combo), size, omega, Fraction(size, omega)
                 )
+        if not cut_seen:
+            # every size from kappa to n - 2 holds a cutset
+            k = size + 1
     return (best is None), best
 
 

@@ -1,12 +1,13 @@
 import hashlib
 import io
 import os
+import random
 import re
 
 import pytest
 
 import zoo
-from toughkit import encode_graph6, enumerate_connected_graphs, format_adjacency
+from toughkit import Graph, encode_graph6, enumerate_connected_graphs, format_adjacency
 from toughkit.cli import run
 
 
@@ -202,6 +203,48 @@ def test_classify_stdout_is_pinned():
     assert (
         digest.hexdigest()
         == "307206299e2d1281a41fe55f1df53567f3a15da12ae25644681a9cd2944fbece"
+    )
+
+
+def _query_graphs():
+    # sparse families and seeded G(n, p), each under a seeded relabeling
+    rng = random.Random(20181)
+    graphs = []
+    for n in (10, 11, 12):
+        graphs.append((n, zoo.path(n).edges()))
+        for steps in ((1,), (1, 2), (1, 3)):
+            graphs.append((n, zoo.circulant(n, steps).edges()))
+    for n, p in ((10, 0.3), (11, 0.45), (12, 0.6)):
+        edges = [(i, j) for j in range(n) for i in range(j) if rng.random() < p]
+        graphs.append((n, edges))
+    for n, edges in graphs:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        yield Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_query_stdout_is_pinned():
+    # reference output: values, witnesses and verdicts of the single-graph
+    # commands must not change a byte when the subset searches are pruned
+    digest = hashlib.sha256()
+    for g in _query_graphs():
+        u, v = g.edges()[0]
+        text = encode_graph6(g) + "\n"
+        for argv in (
+            ["toughness"],
+            ["is-tough", "1/2"],
+            ["is-tough", "1"],
+            ["is-tough", "3/2"],
+            ["is-tough", "2"],
+            ["min-tough"],
+            ["witness", f"{u}-{v}"],
+            ["classify"],
+        ):
+            code, out = run_cli(argv, stdin_text=text)
+            digest.update(f"{code}\n{out}".encode())
+    assert (
+        digest.hexdigest()
+        == "d63972aea1c98b0daf35cff59b461386b340eaa76ffcd6cd7a6b741c23bbc938"
     )
 
 

@@ -1,5 +1,7 @@
 from itertools import combinations
 
+import random
+
 import pytest
 
 import zoo
@@ -16,6 +18,7 @@ from toughkit.recognition import (
     _clawfree_verdict,
     _induces_2k2,
     _induces_cycle,
+    _lex_min_chordless_cycle,
     _split_verdict,
     _twok2_verdict,
 )
@@ -51,6 +54,34 @@ def test_chordal_negative_witness_is_chordless_cycle():
             continue
         assert len(cert.witness) >= 4
         assert _induces_cycle(g, cert.witness)
+
+
+def _all_subsets_chordless_cycle(g):
+    # reference: scan every vertex subset for an induced cycle of length >= 4
+    candidates = [
+        vs
+        for size in range(4, g.n + 1)
+        for vs in combinations(range(g.n), size)
+        if _induces_cycle(g, vs)
+    ]
+    return min(candidates)
+
+
+def test_chordless_cycle_search_matches_all_subsets_scan():
+    for n in range(4, 7):
+        for g in _labeled_graphs(n, connected_only=False):
+            if not _chordal_verdict(g):
+                assert _lex_min_chordless_cycle(g) == _all_subsets_chordless_cycle(g)
+    rng = random.Random(7)
+    graphs = [zoo.cycle(n) for n in range(4, 13)]
+    graphs += [zoo.circulant(n, (1, 3)) for n in range(7, 13)]
+    for _ in range(60):
+        n = rng.randint(7, 12)
+        p = rng.choice((0.2, 0.35, 0.5))
+        graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    for g in graphs:
+        if not _chordal_verdict(g):
+            assert _lex_min_chordless_cycle(g) == _all_subsets_chordless_cycle(g)
 
 
 def test_chordal_matches_networkx():

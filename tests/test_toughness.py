@@ -1,3 +1,5 @@
+import importlib
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -8,6 +10,7 @@ import zoo
 from toughkit import (
     Graph,
     Toughness,
+    WitnessSet,
     clawfree_toughness,
     components,
     is_t_tough,
@@ -201,6 +204,46 @@ def test_witness_for_and_revalidate():
     assert w.ratio == 1 and w.revalidate(zoo.cycle(4))
     with pytest.raises(ValueError):
         witness_for(zoo.cycle(4), [0, 1])
+
+
+def test_witness_for_rejects_vertices_outside_graph():
+    # vertex 10 is not in the path 0-1-2: {1, 10} must not pass for a cutset
+    g = Graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError):
+        witness_for(g, [1, 10])
+    with pytest.raises(ValueError):
+        witness_for(g, [-1, 1])
+    forged = WitnessSet(frozenset({1, 10}), 2, 2, F(1))
+    assert not forged.revalidate(g)
+    assert witness_for(g, [1]).revalidate(g)
+
+
+@pytest.mark.parametrize(
+    "g, tau, witness",
+    [
+        (zoo.path(32), F(1, 2), {1}),
+        (zoo.circulant(32, (1,)), F(1), {0, 2}),
+        (zoo.circulant(32, (1, 2)), F(2), {0, 1, 3, 4}),
+    ],
+)
+def test_kappa_alpha_cutoff_work_at_vertex_cap(monkeypatch, g, tau, witness):
+    # the search scans the sizes up to kappa and stops: 1 + sum C(n, s)
+    # component counts for s <= kappa (33, 529 and 41,449 here); past that
+    # budget the counter raises, so a lost cutoff fails instead of hanging
+    module = importlib.import_module("toughkit.toughness")
+    budget = 1 + sum(math.comb(g.n, s) for s in range(1, len(witness) + 1))
+    calls = 0
+    count = module.component_count
+
+    def counted(nbr, pool):
+        nonlocal calls
+        calls += 1
+        assert calls <= budget, "toughness search ran past its component-count bound"
+        return count(nbr, pool)
+
+    monkeypatch.setattr(module, "component_count", counted)
+    value, w = toughness(g)
+    assert value == tau and w.vertices == frozenset(witness)
 
 
 def test_validate_tough_set():

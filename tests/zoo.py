@@ -19,6 +19,11 @@ def cycle(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def circulant(n, steps):
+    """C_n(steps): vertex i adjacent to i +- d (mod n) for each step d."""
+    return Graph(n, {tuple(sorted((i, (i + d) % n))) for i in range(n) for d in steps})
+
+
 def star(b):
     return Graph(b + 1, [(0, i) for i in range(1, b + 1)])
 
