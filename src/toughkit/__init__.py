@@ -41,9 +41,7 @@ from .graphs import (
     bridges,
     components,
     edge,
-    set_vertex_cap,
     simplicial_vertices,
-    vertex_cap,
     vertex_connectivity,
 )
 from .harness import (
@@ -133,14 +131,12 @@ __all__ = [
     "run_suite",
     "run_suites",
     "scan_minimally_tough",
-    "set_vertex_cap",
     "simplicial_vertices",
     "split_clique_edge_witness",
     "split_expand",
     "toughness",
     "twok2_neighborhood_witness",
     "validate_tough_set",
-    "vertex_cap",
     "vertex_connectivity",
     "witness_for",
 ]

@@ -1,11 +1,14 @@
 """Command-line entry point.
 
 Single-graph commands read one graph from a file argument or stdin, in
-graph6 or adjacency-list format (auto-detected: graph6 when the first byte
-is >= 63 and the first line has no space).  Rationals are always printed
-as "p/q" (or "inf"/"0" for the two special toughness values).  Output on
-stdout is byte-stable across runs; timing goes to stderr.  Exit codes:
+graph6 or adjacency-list format (auto-detected: graph6 when the first line
+starts with '>>graph6<<', or when its first byte is >= 63 and it has no
+space).  Rationals are always printed as "p/q" (or "inf"/"0" for the two
+special toughness values).  Output on stdout is byte-stable across runs;
+timing goes to stderr.  Exit codes:
 0 success (or report-only), 1 computational violation, 2 usage error.
+``run`` reads TOUGHKIT_CAP (1..64, default 32) once; it caps the vertex
+count of input graphs and of generated graphs.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from fractions import Fraction
 
 from . import __version__
 from .families import ClawfreeHalfFromTree, generate, parse_descriptor
-from .graph6 import encode_graph6, parse_graph_auto
-from .graphs import Graph, set_vertex_cap
+from .graph6 import DEFAULT_VERTEX_CAP, check_cap, encode_graph6, parse_graph_auto
+from .graphs import Graph
 from .harness import (
     SUITES,
     EnumerationSource,
@@ -67,9 +70,9 @@ def _read_text(path: str | None) -> str:
         raise SystemExit2(f"cannot read {path}: {exc}") from None
 
 
-def _read_graph(path: str | None) -> Graph:
+def _read_graph(path: str | None, cap: int) -> Graph:
     try:
-        return parse_graph_auto(_read_text(path))
+        return parse_graph_auto(_read_text(path), cap)
     except ValueError as exc:
         raise SystemExit2(f"bad graph input: {exc}") from None
 
@@ -82,7 +85,7 @@ def _setstr(vs) -> str:
 
 
 def _cmd_toughness(args, out) -> int:
-    g = _read_graph(args.graph)
+    g = _read_graph(args.graph, args.cap)
     tau, witness = toughness(g)
     print(tau, file=out)
     if witness is not None:
@@ -95,7 +98,7 @@ def _cmd_toughness(args, out) -> int:
 
 
 def _cmd_is_tough(args, out) -> int:
-    g = _read_graph(args.graph)
+    g = _read_graph(args.graph, args.cap)
     ok, witness = is_t_tough(g, _parse_t(args.t))
     print("true" if ok else "false", file=out)
     if witness is not None:
@@ -108,7 +111,7 @@ def _cmd_is_tough(args, out) -> int:
 
 
 def _cmd_classify(args, out) -> int:
-    g = _read_graph(args.graph)
+    g = _read_graph(args.graph, args.cap)
     rows = []
     cc = is_chordal(g)
     rows.append(
@@ -140,10 +143,10 @@ def _cmd_classify(args, out) -> int:
 
 
 def _cmd_min_tough(args, out) -> int:
-    g = _read_graph(args.graph)
-    t = minimal_toughness_value(g)
+    g = _read_graph(args.graph, args.cap)
+    tau, _ = toughness(g)
+    t = minimal_toughness_value(g, tau)
     if t is None:
-        tau, _ = toughness(g)
         print(f"not minimally tough (tau = {tau})", file=out)
         return 1
     print(f"minimally {t}-tough", file=out)
@@ -151,7 +154,7 @@ def _cmd_min_tough(args, out) -> int:
 
 
 def _cmd_witness(args, out) -> int:
-    g = _read_graph(args.graph)
+    g = _read_graph(args.graph, args.cap)
     u, v = _parse_edge(args.edge)
     if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
         raise SystemExit2(f"{args.edge} is not an edge of the input graph")
@@ -167,7 +170,7 @@ def _cmd_witness(args, out) -> int:
 def _cmd_generate(args, out) -> int:
     text = args.descriptor
     if text.startswith("clawhalf:"):
-        tree = _read_graph(text.partition(":")[2])
+        tree = _read_graph(text.partition(":")[2], args.cap)
         descriptor = ClawfreeHalfFromTree(tree)
     else:
         try:
@@ -178,6 +181,8 @@ def _cmd_generate(args, out) -> int:
         g = generate(descriptor)
     except ValueError as exc:
         raise SystemExit2(str(exc)) from None
+    if g.n > args.cap:
+        raise SystemExit2(f"vertex count {g.n} outside 0..{args.cap}")
     print(encode_graph6(g), file=out)
     return 0
 
@@ -186,7 +191,7 @@ def _make_source(args):
     if args.source is not None:
         text = _read_text(args.source)
         name = args.source if args.source != "-" else "stdin"
-        return Graph6Source(text.splitlines(), f"file {name}")
+        return Graph6Source(text.splitlines(), f"file {name}", args.cap)
     if args.enumerate is None:
         raise SystemExit2("need --enumerate N or --source FILE")
     mode = {"auto": "auto", "always": "dedup", "never": "labeled"}[args.dedup]
@@ -291,18 +296,17 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str], out=None) -> int:
     """Run the CLI; returns the exit code (0 ok, 1 violation, 2 usage)."""
     out = out or sys.stdout
-    cap = os.environ.get("TOUGHKIT_CAP")
-    if cap is not None:
-        try:
-            set_vertex_cap(int(cap))
-        except ValueError as exc:
-            print(f"toughkit: bad TOUGHKIT_CAP: {exc}", file=sys.stderr)
-            return 2
+    try:
+        cap = check_cap(int(os.environ.get("TOUGHKIT_CAP", DEFAULT_VERTEX_CAP)))
+    except ValueError as exc:
+        print(f"toughkit: bad TOUGHKIT_CAP: {exc}", file=sys.stderr)
+        return 2
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    args.cap = cap
     try:
         return args.func(args, out)
     except SystemExit2 as exc:

@@ -5,13 +5,18 @@ a length header (chr(n+63) for n <= 62, or '~' + 3 chars of 18-bit
 big-endian for larger n), followed by the upper triangle of the adjacency
 matrix read column by column, packed big-endian into 6-bit groups, each
 group offset by 63.  The trailing group is zero-padded.
+
+The parsers hold outside input to the cap they are given (default 32
+vertices); ``Graph`` itself only enforces the 64-vertex word bound.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import Graph, vertex_cap
+from .graphs import MAX_VERTEX_CAP, Graph
+
+DEFAULT_VERTEX_CAP = 32
 
 
 class Graph6Error(ValueError):
@@ -21,21 +26,27 @@ class Graph6Error(ValueError):
 _HEADER = ">>graph6<<"
 
 
+def check_cap(cap: int) -> int:
+    """Return ``cap`` if it is a valid input cap, 1..64; else raise ValueError."""
+    if not 1 <= cap <= MAX_VERTEX_CAP:
+        raise ValueError(f"vertex cap must be in 1..{MAX_VERTEX_CAP}, got {cap}")
+    return cap
+
+
 @lru_cache(maxsize=None)
 def _pair_order(n: int) -> tuple[tuple[int, int], ...]:
     # Upper-triangle bit order: (0,1), (0,2), (1,2), (0,3), (1,3), (2,3), ...
     return tuple((i, j) for j in range(1, n) for i in range(j))
 
 
-def parse_graph6(line: str, cap: int | None = None) -> Graph:
+def parse_graph6(line: str, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """Decode one graph6 line into a Graph.
 
     The optional '>>graph6<<' file header is tolerated.  Raises Graph6Error
     for a malformed length header, characters outside the printable range
     63..126, a vertex count above the cap, or trailing garbage.
     """
-    if cap is None:
-        cap = vertex_cap()
+    check_cap(cap)
     s = line.strip()
     if s.startswith(_HEADER):
         s = s[len(_HEADER):]
@@ -106,10 +117,9 @@ def encode_graph6(g: Graph) -> str:
 # -- adjacency-list text format -----------------------------------------------
 
 
-def parse_adjacency(text: str, cap: int | None = None) -> Graph:
+def parse_adjacency(text: str, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """Parse the plain fixture format: an "n" line, then one "u v" line per edge."""
-    if cap is None:
-        cap = vertex_cap()
+    check_cap(cap)
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
@@ -140,16 +150,17 @@ def format_adjacency(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_graph_auto(text: str, cap: int | None = None) -> Graph:
+def parse_graph_auto(text: str, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """Auto-detect the input format.
 
-    graph6 if the first byte is >= 63 and the first line has no space,
-    otherwise the adjacency-list format.
+    graph6 if the first line starts with the '>>graph6<<' header, or if its
+    first byte is >= 63 and it has no space; otherwise the adjacency-list
+    format.
     """
     stripped = text.strip()
     if not stripped:
         raise ValueError("empty graph input")
     first = stripped.splitlines()[0]
-    if ord(first[0]) >= 63 and " " not in first:
+    if first.startswith(_HEADER) or (ord(first[0]) >= 63 and " " not in first):
         return parse_graph6(first, cap)
     return parse_adjacency(text, cap)

@@ -2,11 +2,10 @@
 
 Vertices are the integers 0..n-1 and neighborhoods are stored as bitmasks,
 which keeps the exhaustive subset searches used elsewhere in the package
-cheap.  Graphs are immutable after construction and every function in this
-module is pure, so graphs and query results are safe to share across
-threads.  The one exception is the vertex cap: ``set_vertex_cap`` changes a
-process-wide setting that every ``Graph()`` construction reads, so set it
-before any thread starts.
+cheap.  ``Graph()`` admits up to ``MAX_VERTEX_CAP`` (64) vertices, so a
+vertex set fits in one word; the lower cap on input is an argument of the
+``graph6`` parsers.  Graphs are immutable, every function here is pure and
+the module holds no state, so graphs and results are safe to share.
 """
 
 from __future__ import annotations
@@ -14,23 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
-DEFAULT_VERTEX_CAP = 32
 MAX_VERTEX_CAP = 64
-
-_vertex_cap = DEFAULT_VERTEX_CAP
-
-
-def vertex_cap() -> int:
-    """Current cap on the vertex count of a Graph."""
-    return _vertex_cap
-
-
-def set_vertex_cap(cap: int) -> None:
-    """Change the vertex cap.  At most 64 so vertex sets stay word sized."""
-    global _vertex_cap
-    if not 1 <= cap <= MAX_VERTEX_CAP:
-        raise ValueError(f"vertex cap must be in 1..{MAX_VERTEX_CAP}, got {cap}")
-    _vertex_cap = cap
 
 
 def edge(u: int, v: int) -> tuple[int, int]:
@@ -50,8 +33,8 @@ class Graph:
     __slots__ = ("n", "_nbr")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0 or n > _vertex_cap:
-            raise ValueError(f"vertex count {n} outside 0..{_vertex_cap}")
+        if n < 0 or n > MAX_VERTEX_CAP:
+            raise ValueError(f"vertex count {n} outside 0..{MAX_VERTEX_CAP}")
         nbr = [0] * n
         for u, v in edges:
             if u == v:
@@ -77,7 +60,7 @@ class Graph:
         return self._nbr[v]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return _mask_to_tuple(self._nbr[v])
+        return mask_to_tuple(self._nbr[v])
 
     def degree(self, v: int) -> int:
         return self._nbr[v].bit_count()
@@ -98,7 +81,7 @@ class Graph:
         return [
             (u, v)
             for u in range(self.n)
-            for v in _mask_to_tuple(self._nbr[u] >> (u + 1) << (u + 1))
+            for v in mask_to_tuple(self._nbr[u] >> (u + 1) << (u + 1))
         ]
 
     @property
@@ -152,7 +135,8 @@ class Graph:
         return f"Graph({self.n}, {self.edges()})"
 
 
-def _mask_to_tuple(mask: int) -> tuple[int, ...]:
+def mask_to_tuple(mask: int) -> tuple[int, ...]:
+    """The vertices in ``mask``, ascending; the inverse of ``set_to_mask``."""
     out = []
     while mask:
         b = mask & -mask
@@ -239,7 +223,7 @@ def components(g: Graph, removed: Iterable[int] = ()) -> ComponentInfo:
     sizes = []
     for i, m in enumerate(masks):
         sizes.append(m.bit_count())
-        for v in _mask_to_tuple(m):
+        for v in mask_to_tuple(m):
             labels[v] = i
     return ComponentInfo(len(masks), labels, sizes)
 

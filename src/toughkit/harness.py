@@ -48,7 +48,7 @@ from .families import (
     recognize_clawfree_half,
     recognize_split_min_tough,
 )
-from .graph6 import Graph6Error, encode_graph6, parse_graph6
+from .graph6 import DEFAULT_VERTEX_CAP, Graph6Error, check_cap, encode_graph6, parse_graph6
 from .graphs import Graph, bridges, component_masks, simplicial_vertices, vertex_connectivity
 from .mintough import (
     clawfree_half_witness,
@@ -98,18 +98,21 @@ class EnumerationSource:
 
 
 class Graph6Source:
-    """A stream of graph6 lines; malformed lines are reported, not fatal."""
+    """A stream of graph6 lines; malformed lines, including those above
+    ``cap`` vertices, are reported, not fatal."""
 
-    def __init__(self, lines: Iterable[str], description: str = "graph6 stream"):
+    def __init__(self, lines: Iterable[str], description: str = "graph6 stream",
+                 cap: int = DEFAULT_VERTEX_CAP):
         self.lines = lines
         self.description = description
+        self.cap = check_cap(cap)
 
     def __iter__(self) -> Iterator[tuple[Graph | None, str | None]]:
         for i, line in enumerate(self.lines, start=1):
             if not line.strip():
                 continue
             try:
-                yield parse_graph6(line), None
+                yield parse_graph6(line, self.cap), None
             except Graph6Error as exc:
                 yield None, f"line {i}: {exc}"
 

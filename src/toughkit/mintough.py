@@ -16,8 +16,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from .graphs import Graph, _mask_to_tuple, component_count, set_to_mask
-from .toughness import toughness
+from .graphs import Graph, component_count, mask_to_tuple, set_to_mask
+from .toughness import Toughness, toughness
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,8 @@ def is_minimally_t_tough(g: Graph, t: Fraction | int) -> bool:
     return minimal_toughness_value(g) == t
 
 
-def minimal_toughness_value(g: Graph) -> Fraction | None:
-    """The t for which g is minimally t-tough, or None.
+def minimal_toughness_value(g: Graph, tau: Toughness | None = None) -> Fraction | None:
+    """The t for which g is minimally t-tough, or None; ``tau`` is tau(g) if known.
 
     An edge drops the toughness when it is a bridge (g is connected) or
     when G-e has a cutset S with c(S) > |S|/t; the search for S stops at
@@ -126,7 +126,8 @@ def minimal_toughness_value(g: Graph) -> Fraction | None:
     benchmark's single graphs with 14-18 vertices it took 10.2x as long in
     all, and up to 35x on the circulants C_n(1,2).
     """
-    tau, _ = toughness(g)
+    if tau is None:
+        tau, _ = toughness(g)
     if not tau.is_finite:
         return None
     t = tau.value
@@ -278,7 +279,7 @@ def twok2_neighborhood_witness(
         return w
     hood = (g._nbr[u] | g._nbr[v]) & ~(1 << u) & ~(1 << v)
     combo = _first_violating_cutset(
-        g.delete_edge(*e)._nbr, g.n, t, candidates=_mask_to_tuple(hood)
+        g.delete_edge(*e)._nbr, g.n, t, candidates=mask_to_tuple(hood)
     )
     if combo is None:
         raise RuntimeError(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .graphs import Graph, _mask_to_tuple, component_count, set_to_mask, simplicial_in
+from .graphs import Graph, component_count, mask_to_tuple, set_to_mask, simplicial_in
 
 CHORDAL = "chordal"
 SPLIT = "split"
@@ -185,14 +185,14 @@ def is_split(g: Graph) -> ClassCertificate:
     for extra in combinations(loose, m - forced.bit_count()):
         clique = forced | set_to_mask(extra)
         rest = full ^ clique
-        if all(clique & ~nbr[v] == 1 << v for v in _mask_to_tuple(clique)) and all(
-            not nbr[v] & rest for v in _mask_to_tuple(rest)
+        if all(clique & ~nbr[v] == 1 << v for v in mask_to_tuple(clique)) and all(
+            not nbr[v] & rest for v in mask_to_tuple(rest)
         ):
             return ClassCertificate(
                 SPLIT,
                 True,
-                clique=frozenset(_mask_to_tuple(clique)),
-                independent=frozenset(_mask_to_tuple(rest)),
+                clique=frozenset(mask_to_tuple(clique)),
+                independent=frozenset(mask_to_tuple(rest)),
             )
     raise RuntimeError("no clique/independent partition at the split threshold")
 

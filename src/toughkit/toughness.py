@@ -17,9 +17,9 @@ from typing import Iterable, Sequence
 
 from .graphs import (
     Graph,
-    _mask_to_tuple,
     component_count,
     component_masks,
+    mask_to_tuple,
     set_to_mask,
     vertex_connectivity,
 )
@@ -386,10 +386,10 @@ def validate_tough_set(
             problems.append(f"vertex {v} has neighbors in {touched} components, not 2")
     for m in comp_masks:
         nbrs = set()
-        for v in _mask_to_tuple(m):
-            nbrs.update(_mask_to_tuple(g._nbr[v] & removed))
+        for v in mask_to_tuple(m):
+            nbrs.update(mask_to_tuple(g._nbr[v] & removed))
         if len(nbrs) != two_t:
-            comp = sorted(_mask_to_tuple(m))
+            comp = sorted(mask_to_tuple(m))
             problems.append(
                 f"component {comp} has {len(nbrs)} neighbors in S, not {two_t}"
             )

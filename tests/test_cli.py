@@ -5,9 +5,20 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zoo
-from toughkit import Graph, encode_graph6, enumerate_connected_graphs, format_adjacency
+from toughkit import (
+    ClawfreeHalfFromTree,
+    Graph,
+    Graph6Error,
+    encode_graph6,
+    enumerate_connected_graphs,
+    format_adjacency,
+    generate,
+    parse_graph6,
+)
 from toughkit.cli import run
 
 
@@ -85,6 +96,21 @@ def test_min_tough_command():
     assert code == 1 and out == "not minimally tough (tau = 1/2)\n"
     code, out = run_cli(["min-tough"], stdin_text=encode_graph6(zoo.complete(4)))
     assert code == 1 and out == "not minimally tough (tau = inf)\n"
+
+
+def test_min_tough_computes_toughness_once(monkeypatch):
+    import toughkit.cli
+    import toughkit.mintough
+
+    calls = []
+    for module in (toughkit.cli, toughkit.mintough):
+        real = module.toughness
+        monkeypatch.setattr(
+            module, "toughness", lambda g, real=real: calls.append(g) or real(g)
+        )
+    code, out = run_cli(["min-tough"], stdin_text=encode_graph6(zoo.paw()))
+    assert code == 1 and out == "not minimally tough (tau = 1/2)\n"
+    assert len(calls) == 1
 
 
 def test_witness_command():
@@ -256,6 +282,56 @@ def test_env_cap_respected():
     assert code == 0
     code, out = run_cli(["toughness"], stdin_text=big, env_cap="weird")
     assert code == 2
+    code, out = run_cli(["generate", "path:40"])
+    assert code == 2 and out == ""
+    code, out = run_cli(["generate", "path:40"], env_cap="40")
+    assert code == 0 and out == encode_graph6(zoo.path(40)) + "\n"
+
+
+def test_env_cap_does_not_outlive_run():
+    line = chr(40 + 63) + "?" * 130  # 40 vertices, no edges
+    code, out = run_cli(["toughness"], stdin_text=line, env_cap="40")
+    assert code == 0 and out.startswith("0\n")
+    code, out = run_cli(["toughness"], stdin_text=line)
+    assert code == 2 and out == ""
+    with pytest.raises(Graph6Error):
+        parse_graph6(line)
+
+
+def test_verify_accepts_certificates_above_input_cap(tmp_path):
+    # 30 vertices, minimally 1/2-tough and claw-free; its certificate tree
+    # for T17 has 39 vertices
+    corpus = tmp_path / "g.g6"
+    corpus.write_text(encode_graph6(generate(ClawfreeHalfFromTree(zoo.comb_tree()))))
+    code, out = run_cli(["verify", "T17", "--source", str(corpus)])
+    assert code == 0
+    assert "instances 1" in out and "verdict pass" in out
+
+
+def test_graph6_file_header_accepted():
+    for argv in (
+        ["toughness"],
+        ["is-tough", "1"],
+        ["classify"],
+        ["min-tough"],
+        ["witness", "0-1"],
+    ):
+        plain = run_cli(argv, stdin_text="Cl\n")
+        assert plain[0] == 0
+        assert run_cli(argv, stdin_text=">>graph6<<Cl\n") == plain
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["toughness", "classify", "min-tough"]),
+    st.one_of(
+        st.text(max_size=12),
+        st.text(alphabet="0123456789 \n-#?@ABC_~>graph<", max_size=12),
+    ),
+)
+def test_cli_never_raises_on_short_input(command, text):
+    code, _ = run_cli([command], stdin_text=text)
+    assert code in (0, 1, 2)
 
 
 def test_version_and_usage():

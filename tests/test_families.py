@@ -119,6 +119,17 @@ def test_recognize_clawfree_half_examples():
     assert recognize_clawfree_half(zoo.net())[0]
 
 
+def test_recognize_clawfree_half_certificate_above_input_cap():
+    # the certificate tree has 39 vertices although the graph has 30, so it
+    # must not be held to the input cap of 32
+    tree = zoo.comb_tree()
+    g = generate(ClawfreeHalfFromTree(tree))
+    assert g.n == 30 and is_minimally_t_tough(g, F(1, 2))
+    accepted, cert = recognize_clawfree_half(g)
+    assert accepted and cert.n == 39 and cert.is_tree()
+    assert generate(ClawfreeHalfFromTree(cert)) == g
+
+
 def test_recognize_split_min_tough():
     assert recognize_split_min_tough(zoo.star(4)) == F(1, 4)
     assert recognize_split_min_tough(zoo.split_triangle(3)) == F(1, 3)

@@ -89,17 +89,31 @@ def test_agrees_with_networkx():
 
 def test_long_header_form():
     # three-character count header kicks in at n = 63
-    from toughkit import set_vertex_cap
+    g = Graph(63, [(0, 62)])
+    line = encode_graph6(g)
+    assert line.startswith("~")
+    assert parse_graph6(line, cap=64) == g
+    assert line == reference_encode(g)
+    with pytest.raises(Graph6Error):
+        parse_graph6(line)  # over the default cap of 32
 
-    set_vertex_cap(64)
-    try:
-        g = Graph(63, [(0, 62)])
-        line = encode_graph6(g)
-        assert line.startswith("~")
-        assert parse_graph6(line, cap=64) == g
-        assert line == reference_encode(g)
-    finally:
-        set_vertex_cap(32)
+
+def test_parsers_agree_on_the_cap():
+    g6 = chr(40 + 63) + "?" * 130  # 40 vertices, no edges
+    adj = "40\n0 1"
+    assert parse_graph6(g6, cap=40) == Graph(40)
+    assert parse_adjacency(adj, cap=40) == Graph(40, [(0, 1)])
+    assert parse_graph_auto(g6, cap=40).n == parse_graph_auto(adj, cap=40).n == 40
+    for parse, text in (
+        (parse_graph6, g6),
+        (parse_adjacency, adj),
+        (parse_graph_auto, g6),
+        (parse_graph_auto, adj),
+    ):
+        with pytest.raises(ValueError):
+            parse(text)  # default cap 32
+        with pytest.raises(ValueError):
+            parse(text, cap=39)
 
 
 def test_optional_file_header_stripped():
@@ -141,6 +155,7 @@ def test_adjacency_list_format():
 
 def test_auto_detection():
     assert parse_graph_auto("Cl\n") == zoo.cycle(4)
+    assert parse_graph_auto(">>graph6<<Cl\n") == zoo.cycle(4)
     assert parse_graph_auto("4\n0 1\n1 2\n2 3\n") == zoo.path(4)
     with pytest.raises(ValueError):
         parse_graph_auto("   ")

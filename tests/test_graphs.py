@@ -10,9 +10,9 @@ from toughkit import (
     bridges,
     components,
     edge,
-    set_vertex_cap,
+    parse_adjacency,
+    parse_graph6,
     simplicial_vertices,
-    vertex_cap,
     vertex_connectivity,
 )
 from toughkit.enumeration import _labeled_graphs, enumerate_trees
@@ -35,7 +35,9 @@ def test_graph_rejects_bad_edges():
     with pytest.raises(ValueError):
         Graph(3, [(0, 5)])
     with pytest.raises(ValueError):
-        Graph(vertex_cap() + 1)
+        Graph(65)  # vertex sets must fit in a 64-bit word
+    with pytest.raises(ValueError):
+        Graph(-1)
 
 
 def test_duplicate_edges_collapse():
@@ -43,16 +45,16 @@ def test_duplicate_edges_collapse():
 
 
 def test_vertex_cap_configurable():
-    set_vertex_cap(64)
-    try:
-        g = Graph(40)
-        assert g.n == 40
-        with pytest.raises(ValueError):
-            set_vertex_cap(65)
-    finally:
-        set_vertex_cap(32)
+    # The input cap is a parser argument; Graph() itself admits up to 64.
+    assert Graph(40).n == 40
+    assert parse_adjacency("40\n0 1", cap=64).n == 40
     with pytest.raises(ValueError):
-        Graph(40)
+        parse_adjacency("40\n0 1")
+    for bad in (0, 65):
+        with pytest.raises(ValueError, match="vertex cap must be in 1..64"):
+            parse_adjacency("2\n0 1", cap=bad)
+        with pytest.raises(ValueError, match="vertex cap must be in 1..64"):
+            parse_graph6("A_", cap=bad)
 
 
 def test_edge_helper():

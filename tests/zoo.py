@@ -78,6 +78,17 @@ def spider(*legs):
     return Graph(nxt, edges)
 
 
+def comb_tree():
+    # path 0..20 with a two-vertex tail on each of 2, 4, ..., 18: 39 vertices,
+    # above the default input cap of 32
+    edges = [(i, i + 1) for i in range(20)]
+    nxt = 21
+    for v in range(2, 19, 2):
+        edges += [(v, nxt), (nxt, nxt + 1)]
+        nxt += 2
+    return Graph(nxt, edges)
+
+
 def double_star(b, k):
     # adjacent centers 0, 1 with b-1 and k leaves
     edges = [(0, 1)]
