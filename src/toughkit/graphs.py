@@ -4,8 +4,11 @@ Vertices are the integers 0..n-1 and neighborhoods are stored as bitmasks,
 which keeps the exhaustive subset searches used elsewhere in the package
 cheap.  ``Graph()`` admits up to ``MAX_VERTEX_CAP`` (64) vertices, so a
 vertex set fits in one word; the lower cap on input is an argument of the
-``graph6`` parsers.  Graphs are immutable, every function here is pure and
-the module holds no state, so graphs and results are safe to share.
+``graph6`` parsers.  Components, bridges and blocks all come from one
+component search (``component_count``/``component_masks``); the max-flow
+search behind ``vertex_connectivity`` is the only other traversal.  Graphs
+are immutable, every function here is pure and the module holds no state,
+so graphs and results are safe to share.
 """
 
 from __future__ import annotations
@@ -229,82 +232,36 @@ def components(g: Graph, removed: Iterable[int] = ()) -> ComponentInfo:
 
 
 # -- bridges and blocks --------------------------------------------------------
+# Both come from the components of G - c for each cut vertex c, a vertex
+# whose removal leaves more components than G has.
 
 
-def _biconnected(g: Graph) -> tuple[list[frozenset[int]], frozenset[int], int]:
-    """Blocks, cut vertices and number of connected components (all of g)."""
-    n = g.n
-    disc = [0] * n  # 0 = unvisited, else 1-based discovery time
-    low = [0] * n
-    blocks: list[frozenset[int]] = []
-    cuts: set[int] = set()
-    estack: list[tuple[int, int]] = []
-    time = 1
-    ncomp = 0
-
-    def dfs(root: int) -> None:
-        nonlocal time
-        # Iterative DFS with explicit stack of (vertex, parent, neighbor iter).
-        stack = [(root, -1, iter(g.neighbors(root)))]
-        disc[root] = low[root] = time
-        time += 1
-        root_children = 0
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w == parent:
-                    continue
-                if disc[w] == 0:
-                    estack.append((v, w))
-                    disc[w] = low[w] = time
-                    time += 1
-                    if v == root:
-                        root_children += 1
-                    stack.append((w, v, iter(g.neighbors(w))))
-                    advanced = True
-                    break
-                if disc[w] < disc[v]:
-                    estack.append((v, w))
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-                if low[v] >= disc[u]:
-                    # u separates v's subtree: pop one block.
-                    verts = {u, v}
-                    while estack and estack[-1] != (u, v):
-                        a, b = estack.pop()
-                        verts.add(a)
-                        verts.add(b)
-                    if estack:
-                        estack.pop()
-                    blocks.append(frozenset(verts))
-                    if u != root or root_children > 1:
-                        cuts.add(u)
-
-    for v in range(n):
-        if disc[v] == 0:
-            ncomp += 1
-            if g.degree(v) == 0:
-                continue
-            dfs(v)
-    blocks.sort(key=lambda b: tuple(sorted(b)))
-    return blocks, frozenset(cuts), ncomp
+def _cut_vertex_components(g: Graph) -> tuple[int, dict[int, list[int]]]:
+    """c(G), and the component masks of G - c for every cut vertex c."""
+    full = (1 << g.n) - 1
+    ncomp = component_count(g._nbr, full)
+    cuts = {}
+    for c in range(g.n):
+        if g._nbr[c] & (g._nbr[c] - 1):  # a vertex of degree <= 1 never cuts
+            masks = component_masks(g._nbr, full ^ (1 << c))
+            if len(masks) > ncomp:
+                cuts[c] = masks
+    return ncomp, cuts
 
 
 def bridges(g: Graph) -> frozenset[tuple[int, int]]:
-    """Edges whose removal increases the number of components."""
-    blks, _, _ = _biconnected(g)
+    """Edges whose removal increases the number of components.
+
+    uv is a bridge iff N(u) = {v}, or u is a cut vertex and the component of
+    G - u holding v meets N(u) only in v.
+    """
+    _, cuts = _cut_vertex_components(g)
     out = set()
-    for b in blks:
-        if len(b) == 2:
-            u, v = sorted(b)
+    for u, v in g.edges():
+        nu = g._nbr[u]
+        if nu == 1 << v or (
+            u in cuts and next(m for m in cuts[u] if m >> v & 1) & nu == 1 << v
+        ):
             out.add((u, v))
     return frozenset(out)
 
@@ -318,12 +275,27 @@ def blocks(g: Graph) -> BlockDecomposition:
     """Block-cut decomposition of a connected graph.
 
     Blocks are returned as vertex sets (a 2-set is a bridge edge), sorted by
-    their sorted vertex tuples so output is reproducible.
+    their sorted vertex tuples so output is reproducible.  The block of an
+    edge uv is the intersection, over the cut vertices c, of c plus the
+    component of G - c that holds u (v when c = u).
     """
-    blks, cuts, ncomp = _biconnected(g)
+    ncomp, cuts = _cut_vertex_components(g)
     if ncomp > 1:
         raise ValueError("graph is disconnected")
-    return BlockDecomposition(blks, cuts)
+    found = set()
+    for u, v in g.edges():
+        block = (1 << g.n) - 1
+        for c, masks in cuts.items():
+            x = v if c == u else u
+            for m in masks:
+                if m >> x & 1:
+                    block &= m | 1 << c
+                    break
+        found.add(block)
+    return BlockDecomposition(
+        [frozenset(b) for b in sorted(mask_to_tuple(b) for b in found)],
+        frozenset(cuts),
+    )
 
 
 # -- vertex connectivity -----------------------------------------------------

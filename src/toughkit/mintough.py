@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .graphs import Graph, component_count, mask_to_tuple, set_to_mask
-from .toughness import Toughness, toughness
+from .toughness import Toughness, _cutsets, toughness
 
 
 @dataclass(frozen=True)
@@ -84,27 +83,13 @@ def _counts_around(g: Graph, e: tuple[int, int], removed: int) -> tuple[int, int
 
 
 def _first_violating_cutset(
-    masks: tuple[int, ...],
-    n: int,
-    t: Fraction,
-    candidates: tuple[int, ...] | None = None,
+    masks: tuple[int, ...], t: Fraction, pool: Sequence[int]
 ) -> tuple[int, ...] | None:
-    """Smallest (size, then lex) cutset S of the graph behind ``masks`` with
-    c(S) > |S|/t, optionally drawn from a restricted candidate pool."""
+    """Smallest (size, then lex) cutset S drawn from ``pool`` of the
+    connected graph behind ``masks`` with c(S) > |S|/t."""
     p, q = t.numerator, t.denominator
-    full = (1 << n) - 1
-    pool = tuple(range(n)) if candidates is None else candidates
-    # p*omega > q*size needs size*(p+q) < p*n since omega <= n - size
-    max_size = min(len(pool), (p * n - 1) // (p + q) if p * n > 0 else 0)
-    for size in range(1, max_size + 1):
-        for combo in combinations(pool, size):
-            removed = 0
-            for x in combo:
-                removed |= 1 << x
-            omega = component_count(masks, full ^ removed)
-            if omega >= 2 and p * omega > q * size:
-                return combo
-    return None
+    cutsets = _cutsets(masks, pool, lambda size: q * size // p + 1)
+    return next((combo for combo, _ in cutsets), None)
 
 
 def is_minimally_t_tough(g: Graph, t: Fraction | int) -> bool:
@@ -136,7 +121,7 @@ def minimal_toughness_value(g: Graph, tau: Toughness | None = None) -> Fraction 
         masks = g.delete_edge(u, v)._nbr
         pool = tuple(x for x in range(g.n) if x != u and x != v)
         if component_count(masks, full) == 1 and _first_violating_cutset(
-            masks, g.n, t, candidates=pool
+            masks, t, pool
         ) is None:
             return None
     return t
@@ -169,7 +154,8 @@ def edge_deletion_witness(g: Graph, t: Fraction | int, e: tuple[int, int]) -> Ed
 
     Bridges short-circuit to the empty set.  Otherwise the smallest cutset
     of G-e whose component count beats |S|/t is returned, after re-checking
-    all of its properties exactly.
+    all of its properties exactly.  A disconnected graph, which is not
+    minimally t-tough for any t, raises ValueError.
     """
     t = Fraction(t)
     if t <= 0:
@@ -177,11 +163,13 @@ def edge_deletion_witness(g: Graph, t: Fraction | int, e: tuple[int, int]) -> Ed
     u, v = e
     if not g.has_edge(u, v):
         raise ValueError(f"({u},{v}) is not an edge")
+    if not g.is_connected():
+        raise ValueError("graph is disconnected")
     e = (u, v) if u < v else (v, u)
     w = _bridge_witness(g, e)
     if w is not None:
         return w
-    combo = _first_violating_cutset(g.delete_edge(*e)._nbr, g.n, t)
+    combo = _first_violating_cutset(g.delete_edge(*e)._nbr, t, range(g.n))
     if combo is None:
         raise RuntimeError(
             f"no witness for edge {e}: the graph is not minimally {t}-tough"
@@ -265,7 +253,8 @@ def twok2_neighborhood_witness(
     t-tough graph with no induced pair of independent edges a non-bridge
     edge need not have a witness there: on the graph6 graph "F?NN_" the only
     witness for the edge 4-5 is a vertex adjacent to neither endpoint.
-    Raises RuntimeError when the pool holds no witness.
+    Raises RuntimeError when the pool holds no witness, and ValueError on a
+    disconnected graph.
     """
     t = Fraction(t)
     if t <= 0:
@@ -273,14 +262,14 @@ def twok2_neighborhood_witness(
     u, v = e
     if not g.has_edge(u, v):
         raise ValueError(f"({u},{v}) is not an edge")
+    if not g.is_connected():
+        raise ValueError("graph is disconnected")
     e = (u, v) if u < v else (v, u)
     w = _bridge_witness(g, e)
     if w is not None:
         return w
     hood = (g._nbr[u] | g._nbr[v]) & ~(1 << u) & ~(1 << v)
-    combo = _first_violating_cutset(
-        g.delete_edge(*e)._nbr, g.n, t, candidates=mask_to_tuple(hood)
-    )
+    combo = _first_violating_cutset(g.delete_edge(*e)._nbr, t, mask_to_tuple(hood))
     if combo is None:
         raise RuntimeError(
             f"no witness for edge {e} inside the endpoint neighborhood"

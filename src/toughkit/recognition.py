@@ -149,17 +149,18 @@ def _split_verdict(g: Graph) -> bool:
 
 
 def _lex_min_split_obstruction(g: Graph) -> tuple[int, ...]:
-    # minimal obstructions to being split: induced 2K2, C4 or C5
-    candidates = []
-    for vs in combinations(range(g.n), 4):
-        if _induces_cycle(g, vs) or _induces_2k2(g, vs):
-            candidates.append(vs)
-    for vs in combinations(range(g.n), 5):
-        if _induces_cycle(g, vs):
-            candidates.append(vs)
-    if not candidates:
+    # minimal obstructions to being split: induced 2K2, C4 or C5 (no 5-set
+    # induces a 2K2).  Each size is scanned in lexicographic order, so its
+    # first hit is its least.
+    hits = []
+    for size in (4, 5):
+        for vs in combinations(range(g.n), size):
+            if _induces_cycle(g, vs) or _induces_2k2(g, vs):
+                hits.append(vs)
+                break
+    if not hits:
         raise RuntimeError("no 2K2/C4/C5 found in a non-split graph")
-    return min(candidates)
+    return min(hits)
 
 
 def is_split(g: Graph) -> ClassCertificate:
@@ -221,9 +222,7 @@ def is_claw_free(g: Graph) -> ClassCertificate:
     """Test for an induced star on three leaves."""
     if _clawfree_verdict(g):
         return ClassCertificate(CLAW_FREE, True)
-    witness = min(
-        vs for vs in combinations(range(g.n), 4) if _induces_claw(g, vs)
-    )
+    witness = next(vs for vs in combinations(range(g.n), 4) if _induces_claw(g, vs))
     return ClassCertificate(CLAW_FREE, False, witness=witness)
 
 
@@ -254,7 +253,5 @@ def is_2k2_free(g: Graph) -> ClassCertificate:
     """Test for an induced pair of independent edges."""
     if _twok2_verdict(g):
         return ClassCertificate(TWO_K2_FREE, True)
-    witness = min(
-        vs for vs in combinations(range(g.n), 4) if _induces_2k2(g, vs)
-    )
+    witness = next(vs for vs in combinations(range(g.n), 4) if _induces_2k2(g, vs))
     return ClassCertificate(TWO_K2_FREE, False, witness=witness)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graphs import (
     Graph,
@@ -194,57 +194,80 @@ def _alpha_sums(nbr: Sequence[int]) -> list[int]:
     return list(accumulate(alphas, initial=0))
 
 
+def _cutsets(
+    nbr: Sequence[int], pool: Sequence[int], need: Callable[[int], int]
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(S, c(G - S)) for cutsets S of the connected graph behind ``nbr``,
+    drawn from ``pool`` by size and then lexicographically.
+
+    Before each size s, ``need(s)`` gives the fewest components a set of
+    that size must leave to matter; it never falls as s grows or as the
+    caller's incumbent improves.  Only cutsets meeting it are yielded.  The
+    scan ends at the first size where it exceeds n - s, the most an s-set
+    can leave, and skips a size where it exceeds A_s // k (see
+    ``_alpha_sums``): every component of G - S has at least k neighbors in
+    S.  k starts at 1 and becomes s + 1 after a size s with no cutset in
+    the pool: for a larger cutset S from the pool and a component C of
+    G - S, any s-set between N(C) and S would be such a cutset.  The alpha
+    sums are built the first time a size needs more than two components,
+    the fewest any cutset leaves.
+    """
+    n = len(nbr)
+    full = (1 << n) - 1
+    k = 1
+    alpha_sums = None
+    for size in range(1, len(pool) + 1):
+        least = max(need(size), 2)
+        if least > n - size:
+            return
+        if least > 2:
+            if alpha_sums is None:
+                alpha_sums = _alpha_sums(nbr)
+            if alpha_sums[size] // k < least:
+                continue
+        cut_seen = False
+        for combo in combinations(pool, size):
+            removed = 0
+            for v in combo:
+                removed |= 1 << v
+            omega = component_count(nbr, full ^ removed)
+            if omega >= 2:
+                cut_seen = True
+                if omega >= least:
+                    yield combo, omega
+        if not cut_seen:
+            k = size + 1
+
+
 def toughness(g: Graph) -> tuple[Toughness, WitnessSet | None]:
     """Exact toughness with a minimizing cutset.
 
     Complete graphs give (inf, None).  Disconnected graphs give (0, witness
-    with the empty set).  Otherwise the search runs over cutsets in
-    increasing size, lexicographic within a size, keeping the first strict
-    improvement, and stops once no remaining size can beat the incumbent;
-    the witness is therefore the smallest minimizing cutset, ties broken by
-    lexicographically least vertex tuple.  A size s is out of reach when
-    s/(n - s) or kappa*s/A_s reaches the incumbent, where kappa is the size
-    of the first cutset found and A_s is entry s of ``_alpha_sums``; both
-    bounds grow with s, so the search stops at the first such size.
+    with the empty set).  Otherwise ``_cutsets`` scans cutsets in
+    increasing size, lexicographic within a size; the search keeps the
+    first strict improvement, so the witness is the smallest minimizing
+    cutset, ties broken by lexicographically least vertex tuple.  A size s
+    matters only with more than s/r components, r the incumbent ratio.
     """
     n = g.n
     if g.is_complete():
         return Toughness.infinite(), None
     nbr = g._nbr
-    full = (1 << n) - 1
-    omega0 = component_count(nbr, full)
+    omega0 = component_count(nbr, (1 << n) - 1)
     if omega0 >= 2:
         return Toughness.zero(), WitnessSet(frozenset(), 0, omega0, Fraction(0))
     best_num, best_den = n, 1  # ratio n/1 beats any real cutset ratio
     best_set: tuple[int, ...] = ()
-    best_omega = 0
-    kappa = 0
-    alpha_sums = None  # built once kappa is known and still needed
-    for size in range(1, n - 1):
-        # every cutset of this size has ratio >= size/(n - size)
-        if size * best_den >= best_num * (n - size):
-            break
-        if kappa:
-            # ... and ratio >= kappa*size/A_size
-            if alpha_sums is None:
-                alpha_sums = _alpha_sums(nbr)
-            if kappa * size * best_den >= best_num * alpha_sums[size]:
-                break
-        for combo in combinations(range(n), size):
-            removed = 0
-            for v in combo:
-                removed |= 1 << v
-            omega = component_count(nbr, full ^ removed)
-            if omega >= 2 and size * best_den < best_num * omega:
-                best_num, best_den = size, omega
-                best_set = combo
-                best_omega = omega
-        if best_omega and not kappa:
-            kappa = size
+    for combo, omega in _cutsets(
+        nbr, range(n), lambda size: size * best_den // best_num + 1
+    ):
+        if len(combo) * best_den < best_num * omega:
+            best_num, best_den = len(combo), omega
+            best_set = combo
     ratio = Fraction(best_num, best_den)
     return (
         Toughness.finite(ratio),
-        WitnessSet(frozenset(best_set), len(best_set), best_omega, ratio),
+        WitnessSet(frozenset(best_set), len(best_set), best_den, ratio),
     )
 
 
@@ -279,10 +302,8 @@ def is_t_tough(g: Graph, t: Fraction | int) -> tuple[bool, WitnessSet | None]:
     Complete graphs are t-tough for every t; disconnected graphs for none
     (witnessed by the empty set).  On a negative answer the returned witness
     maximizes c(S) * t - |S|, ties broken by smallest size then
-    lexicographically least vertex tuple.  With t = p/q, a size s is
-    skipped when p*min(n - s, A_s // k) - q*s cannot beat the best score,
-    where A_s is entry s of ``_alpha_sums`` and k <= kappa: every size below
-    k was scanned and held no cutset.
+    lexicographically least vertex tuple.  With t = p/q, ``_cutsets`` is
+    asked at size s for more than (best score + q*s)/p components.
     """
     t = Fraction(t)
     if t <= 0:
@@ -291,40 +312,20 @@ def is_t_tough(g: Graph, t: Fraction | int) -> tuple[bool, WitnessSet | None]:
     if g.is_complete():
         return True, None
     nbr = g._nbr
-    full = (1 << n) - 1
-    omega0 = component_count(nbr, full)
+    omega0 = component_count(nbr, (1 << n) - 1)
     if omega0 >= 2:
         return False, WitnessSet(frozenset(), 0, omega0, Fraction(0))
     p, q = t.numerator, t.denominator
     best_score = 0  # p*omega - q*size, positive = violation
     best: WitnessSet | None = None
-    k = 1
-    alpha_sums = _alpha_sums(nbr)
-    for size in range(1, n - 1):
-        # p*(n - size) - q*size falls as size grows: no later size can win
-        if p * (n - size) - q * size <= best_score:
-            break
-        # the kappa bound does not fall monotonically: skip this size only
-        if p * (alpha_sums[size] // k) - q * size <= best_score:
-            continue
-        cut_seen = False
-        for combo in combinations(range(n), size):
-            removed = 0
-            for v in combo:
-                removed |= 1 << v
-            omega = component_count(nbr, full ^ removed)
-            if omega < 2:
-                continue
-            cut_seen = True
-            score = p * omega - q * size
-            if score > best_score:
-                best_score = score
-                best = WitnessSet(
-                    frozenset(combo), size, omega, Fraction(size, omega)
-                )
-        if not cut_seen:
-            # every size from kappa to n - 2 holds a cutset
-            k = size + 1
+    for combo, omega in _cutsets(
+        nbr, range(n), lambda size: (best_score + q * size) // p + 1
+    ):
+        size = len(combo)
+        score = p * omega - q * size
+        if score > best_score:
+            best_score = score
+            best = WitnessSet(frozenset(combo), size, omega, Fraction(size, omega))
     return (best is None), best
 
 

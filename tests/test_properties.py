@@ -3,21 +3,25 @@
 The graphs are sparse or structured (trees with a few chords, circulants
 C_n(a, b)) under random vertex relabelings: the inputs on which the
 kappa/alpha cutoffs of the searches fire.  The brute-force references scan
-every vertex subset with their own component count.
+every vertex subset with their own component count; for the per-edge
+witness searches, every subset of the search's pool in G - e.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toughkit import (
     Graph,
+    edge_deletion_witness,
     is_t_tough,
     minimal_toughness_value,
     naive_toughness_oracle,
     toughness,
+    twok2_neighborhood_witness,
 )
 
 
@@ -64,10 +68,12 @@ def _omega(g, removed):
     return count
 
 
-def _cutsets(g):
-    """(S, c(G - S)) for every cutset S, by size and then lexicographically."""
+def _cutsets(g, pool=None):
+    """(S, c(G - S)) for every cutset S drawn from ``pool`` (default: every
+    vertex), by size and then lexicographically."""
+    pool = range(g.n) if pool is None else pool
     for size in range(1, g.n - 1):
-        for vs in combinations(range(g.n), size):
+        for vs in combinations(pool, size):
             omega = _omega(g, vs)
             if omega >= 2:
                 yield vs, omega
@@ -121,3 +127,68 @@ def test_minimal_toughness_value_matches_definition(g):
     ):
         expected = tau.value
     assert minimal_toughness_value(g) == expected
+
+
+THRESHOLDS = st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
+                              Fraction(1), Fraction(3, 2), Fraction(2),
+                              Fraction(5, 2), Fraction(3)])
+
+
+def _expected_edge_witness(g, t, e, pool):
+    """What the search for edge e must give: () for a bridge, else the
+    first (size, lex) S in ``pool`` with t * c((G-e)-S) > |S|, or the
+    RuntimeError message it must raise when there is no such S or S
+    fails the witness conditions."""
+    minus = g.delete_edge(*e)
+    if _omega(minus, ()) > _omega(g, ()):
+        return ()
+    p, q = t.numerator, t.denominator
+    first = next((vs for vs, c in _cutsets(minus, pool) if p * c > q * len(vs)), None)
+    if first is None:
+        return "no witness"
+    before, after = _omega(g, first), _omega(minus, first)
+    # holds: c(G-S) <= |S|/t < c((G-e)-S) = c(G-S) + 1
+    if p * before <= q * len(first) and after == before + 1:
+        return first
+    return "re-validation failed"
+
+
+def _check_edge_search(search, g, t, e, pool):
+    if _omega(g, ()) >= 2:
+        with pytest.raises(ValueError, match="disconnected"):
+            search(g, t, e)
+        return
+    expected = _expected_edge_witness(g, t, e, pool)
+    if isinstance(expected, str):
+        with pytest.raises(RuntimeError, match=expected):
+            search(g, t, e)
+        return
+    w = search(g, t, e)
+    assert w.vertices == frozenset(expected) and w.bridge_case == (expected == ())
+    assert w.holds(g, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(11), THRESHOLDS, st.data())
+def test_edge_deletion_witness_is_first_violating_set(g, t, data):
+    e = data.draw(st.sampled_from(g.edges()))
+    _check_edge_search(edge_deletion_witness, g, t, e, None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(11), THRESHOLDS, st.data())
+def test_twok2_witness_is_first_violating_set_in_neighborhood(g, t, data):
+    u, v = e = data.draw(st.sampled_from(g.edges()))
+    hood = sorted((set(g.neighbors(u)) | set(g.neighbors(v))) - {u, v})
+    _check_edge_search(twok2_neighborhood_witness, g, t, e, hood)
+
+
+def test_neighborhood_search_keeps_its_component_bound():
+    # the complement of the paths 3-0-2-4 and 5-6; the witness for the edge
+    # 0-4 at t = 3/2 is its whole pool {1,3,5,6}, reached after pool sizes
+    # that hold cutsets, so a bound k raised past those sizes would skip it
+    missing = {(0, 2), (0, 3), (2, 4), (5, 6)}
+    g = Graph(7, [e for e in combinations(range(7), 2) if e not in missing])
+    t = Fraction(3, 2)
+    _check_edge_search(twok2_neighborhood_witness, g, t, (0, 4), [1, 3, 5, 6])
+    assert twok2_neighborhood_witness(g, t, (0, 4)).vertices == {1, 3, 5, 6}
