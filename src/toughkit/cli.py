@@ -195,7 +195,10 @@ def _make_source(args):
     if args.enumerate is None:
         raise SystemExit2("need --enumerate N or --source FILE")
     mode = {"auto": "auto", "always": "dedup", "never": "labeled"}[args.dedup]
-    return EnumerationSource(range(1, args.enumerate + 1), mode=mode)
+    try:
+        return EnumerationSource(range(1, args.enumerate + 1), mode=mode)
+    except ValueError as exc:
+        raise SystemExit2(str(exc)) from None
 
 
 def _cmd_verify(args, out) -> int:

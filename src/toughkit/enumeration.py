@@ -2,11 +2,12 @@
 
 The canonical form of a graph is the lexicographically minimal adjacency
 encoding over all vertex permutations, in the same upper-triangle
-column-major bit order used by the graph6 format.  It is computed by a
-depth-first search over vertex placements: candidates at each position are
-tried in order of (column bits, degree, index) and a branch is pruned as
-soon as its bit prefix exceeds the incumbent, so the search is exact but
-rarely explores more than a few permutations.  Desk scale only.
+column-major bit order used by the graph6 format.  One pruned depth-first
+search over vertex placements (``_min_encoding``) computes it, and also the
+cheaper ``_certificate``, which searches only the orderings that respect the
+colour-refined vertex partition.  The isomorph-free enumeration grows
+connected graphs, tells candidates apart by certificate and computes the
+canonical form once per class.  Desk scale only.
 """
 
 from __future__ import annotations
@@ -27,52 +28,87 @@ def canonical_key(g: Graph) -> int:
     the most significant position, so integer comparison matches
     lexicographic comparison of equal-length bit strings.
     """
-    n = g.n
-    if n < 2:
-        return 0
-    nbr = g._nbr
-    total = n * (n - 1) // 2
-    # Greedy first incumbent: vertices by ascending degree.
-    order = sorted(range(n), key=lambda v: (nbr[v].bit_count(), v))
-    best = _encode_order(nbr, order)
+    return _min_encoding(g._nbr, [(1 << g.n) - 1] * g.n)
 
-    def extend(prefix: int, placed: list[int], used: int, length: int) -> None:
+
+def _min_encoding(nbr: tuple[int, ...], cells: list[int]) -> int:
+    """Least adjacency encoding over the orderings whose k-th vertex lies in
+    the vertex mask ``cells[k]``.
+
+    ``cells`` holds either all vertices at every position or an ordered
+    partition, each cell repeated once per member.  Placing a vertex at
+    position k appends its k-bit column, so under one prefix only the
+    candidates with the least column can reach the minimum.  A vertex is
+    skipped while a lower-indexed twin (N(v) - w == N(w) - v) is unplaced in
+    the same cell: swapping the two is an automorphism that fixes every
+    placed vertex and every cell, so both branches give the same encodings.
+    """
+    n = len(nbr)
+    total = n * (n - 1) // 2
+    low_twins = [
+        sum(1 << w for w in range(v) if nbr[v] & ~(1 << w) == nbr[w] & ~(1 << v))
+        for v in range(n)
+    ]
+    best = 1 << total  # above every encoding
+    placed: list[int] = []
+
+    def extend(prefix: int, used: int) -> None:
         nonlocal best
         k = len(placed)
         if k == n:
-            if prefix < best:
-                best = prefix
+            best = prefix
             return
-        cands = []
+        free = cells[k] & ~used
+        least, ties = 1 << k, []
         for v in range(n):
-            if used >> v & 1:
+            if not free >> v & 1 or low_twins[v] & free:
                 continue
             col = 0
             nv = nbr[v]
             for u in placed:
                 col = col << 1 | (nv >> u & 1)
-            cands.append((col, nv.bit_count(), v))
-        cands.sort()
-        for col, _, v in cands:
-            new_prefix = prefix << k | col
-            new_len = length + k
-            if new_prefix > best >> (total - new_len):
-                continue
+            if col < least:
+                least, ties = col, [v]
+            elif col == least:
+                ties.append(v)
+        prefix = prefix << k | least
+        shift = total - k * (k + 1) // 2
+        for v in ties:
+            if prefix > best >> shift:
+                return
             placed.append(v)
-            extend(new_prefix, placed, used | 1 << v, new_len)
+            extend(prefix, used | 1 << v)
             placed.pop()
 
-    extend(0, [], 0, 0)
+    extend(0, 0)
     return best
 
 
-def _encode_order(nbr: tuple[int, ...], order: list[int]) -> int:
-    val = 0
-    for j in range(1, len(order)):
-        vj = order[j]
-        for i in range(j):
-            val = val << 1 | (nbr[order[i]] >> vj & 1)
-    return val
+def _certificate(nbr: tuple[int, ...]) -> int:
+    """A complete isomorphism invariant, cheaper to compute than the key.
+
+    Colour refinement starts from the degrees; each round ranks every
+    vertex by (colour, sorted neighbour colours) until the number of colours
+    stops growing.  The ordered partition is isomorphism-invariant, and the
+    least encoding over orderings that respect it is that of a relabeled
+    copy, so two graphs on n vertices have equal certificates exactly when
+    they are isomorphic.
+    """
+    n = len(nbr)
+    colour = [m.bit_count() for m in nbr]
+    count = len(set(colour))
+    adj = [[u for u in range(n) if m >> u & 1] for m in nbr]
+    while True:
+        sigs = [(colour[v], tuple(sorted([colour[u] for u in adj[v]]))) for v in range(n)]
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colour = [rank[s] for s in sigs]
+        if len(rank) == count:
+            break
+        count = len(rank)
+    cells = [0] * count
+    for v in range(n):
+        cells[colour[v]] |= 1 << v
+    return _min_encoding(nbr, [cells[c] for c in sorted(colour)])
 
 
 def graph_from_key(n: int, key: int) -> Graph:
@@ -112,30 +148,24 @@ def _labeled_graphs(n: int, connected_only: bool) -> Iterator[Graph]:
 
 
 def _dedup_representatives(n: int) -> list[Graph]:
-    """One canonically labeled representative per isomorphism class, all graphs.
+    """One canonically labeled representative per connected isomorphism class.
 
-    Built level by level: every graph on k vertices arises from a graph on
-    k-1 vertices by attaching one new vertex to some neighbor subset, so
-    augmenting every (k-1)-representative with every subset and
-    canonicalizing covers every class on k vertices.
+    Built level by level: every connected graph has a non-cut vertex, whose
+    deletion leaves a connected graph, so attaching a new vertex to every
+    non-empty neighbor subset of every connected (k-1)-representative
+    reaches every connected class on k vertices.  Candidates are told apart
+    by ``_certificate``; the lex-min key is computed once per class.
     """
     reps = [Graph(1)]
     for k in range(2, n + 1):
-        seen: dict[int, None] = {}
+        classes: dict[int, tuple[int, ...]] = {}
         for g in reps:
-            base = list(g._nbr) + [0]
-            for sub in range(1 << (k - 1)):
-                masks = base.copy()
-                masks[k - 1] = sub
-                s = sub
-                while s:
-                    b = s & -s
-                    s ^= b
-                    masks[b.bit_length() - 1] |= 1 << (k - 1)
-                key = canonical_key(Graph._from_masks(k, tuple(masks)))
-                if key not in seen:
-                    seen[key] = None
-        reps = [graph_from_key(k, key) for key in sorted(seen)]
+            for sub in range(1, 1 << (k - 1)):
+                masks = tuple(m | (sub >> i & 1) << (k - 1) for i, m in enumerate(g._nbr))
+                masks += (sub,)
+                classes.setdefault(_certificate(masks), masks)
+        keys = sorted(canonical_key(Graph._from_masks(k, m)) for m in classes.values())
+        reps = [graph_from_key(k, key) for key in keys]
     return reps
 
 
@@ -151,9 +181,7 @@ def enumerate_connected_graphs(n: int, dedup: bool) -> Iterator[Graph]:
     if dedup:
         if n > MAX_DEDUP_N:
             raise ValueError(f"dedup enumeration capped at n <= {MAX_DEDUP_N}")
-        for g in _dedup_representatives(n):
-            if g.is_connected():
-                yield g
+        yield from _dedup_representatives(n)
     else:
         if n > MAX_LABELED_N:
             raise ValueError(f"labeled enumeration capped at n <= {MAX_LABELED_N}")

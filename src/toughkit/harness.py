@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .enumeration import enumerate_connected_graphs
+from .enumeration import MAX_DEDUP_N, MAX_LABELED_N, enumerate_connected_graphs
 from .families import (
     delete_and_complete,
     recognize_clawfree_half,
@@ -75,7 +75,8 @@ class EnumerationSource:
 
     mode="auto" enumerates labeled graphs for n <= 6 and one representative
     per isomorphism class for larger n; "labeled"/"dedup" force one mode.
-    Both modes must produce identical suite verdicts.
+    Both modes must produce identical suite verdicts.  Each n is checked
+    against the cap of the mode it uses here, before any work.
     """
 
     def __init__(self, ns: Iterable[int], mode: str = "auto"):
@@ -83,6 +84,15 @@ class EnumerationSource:
         if mode not in ("auto", "labeled", "dedup"):
             raise ValueError(f"unknown enumeration mode {mode!r}")
         self.mode = mode
+        if not self.ns or self.ns[0] < 1:
+            raise ValueError("enumeration needs n >= 1")
+        hi = self.ns[-1]  # only the largest n can exceed its mode's cap
+        kind, cap = ("dedup", MAX_DEDUP_N) if self._dedup(hi) else ("labeled", MAX_LABELED_N)
+        if hi > cap:
+            raise ValueError(f"{kind} enumeration capped at n <= {cap}")
+
+    def _dedup(self, n: int) -> bool:
+        return n > 6 if self.mode == "auto" else self.mode == "dedup"
 
     @property
     def description(self) -> str:
@@ -92,8 +102,7 @@ class EnumerationSource:
 
     def __iter__(self) -> Iterator[tuple[Graph | None, str | None]]:
         for n in self.ns:
-            dedup = n > 6 if self.mode == "auto" else self.mode == "dedup"
-            for g in enumerate_connected_graphs(n, dedup=dedup):
+            for g in enumerate_connected_graphs(n, dedup=self._dedup(n)):
                 yield g, None
 
 

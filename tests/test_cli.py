@@ -188,6 +188,25 @@ def test_jobs_flag():
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [["verify", "all"], ["scan"]])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--enumerate", "0"], "enumeration needs n >= 1"),
+        (["--enumerate", "-2"], "enumeration needs n >= 1"),
+        (["--enumerate", "9"], "dedup enumeration capped at n <= 8"),
+        (["--enumerate", "9", "--dedup", "always"], "dedup enumeration capped at n <= 8"),
+        (["--enumerate", "8", "--dedup", "never"], "labeled enumeration capped at n <= 7"),
+    ],
+)
+def test_enumerate_bounds_checked_before_any_work(command, flags, message, capsys):
+    # out-of-range n stops with a usage error at once, not after sweeping
+    # every smaller n first
+    code, out = run_cli(command + flags)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"toughkit: {message}\n"
+
+
 def test_verify_prints_one_sweep_time(capsys):
     code, _ = run_cli(["verify", "all", "--enumerate", "4"])
     assert code == 0

@@ -1,10 +1,23 @@
-from itertools import permutations
+import hashlib
+import random
+from itertools import combinations, permutations
 
 import pytest
 
 import zoo
-from toughkit import canonical_graph, canonical_key, enumerate_connected_graphs
-from toughkit.enumeration import _labeled_graphs, enumerate_trees, graph_from_key
+from toughkit import (
+    Graph,
+    canonical_graph,
+    canonical_key,
+    encode_graph6,
+    enumerate_connected_graphs,
+)
+from toughkit.enumeration import (
+    _certificate,
+    _labeled_graphs,
+    enumerate_trees,
+    graph_from_key,
+)
 
 
 def brute_force_key(g):
@@ -66,6 +79,117 @@ def test_connected_class_counts():
 def test_connected_class_counts_n6_n7():
     assert sum(1 for _ in enumerate_connected_graphs(6, dedup=True)) == 112
     assert sum(1 for _ in enumerate_connected_graphs(7, dedup=True)) == 853
+
+
+@pytest.mark.slow
+def test_connected_class_representatives_n8_are_pinned():
+    # 11,117 connected classes (OEIS A001349); the digest of their graph6
+    # lines, in order, was taken from the all-graphs growth that tried every
+    # neighbor subset and canonicalized every candidate
+    lines = [encode_graph6(g) for g in enumerate_connected_graphs(8, dedup=True)]
+    assert len(lines) == 11117
+    assert (
+        hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        == "28b9222da489bdd97eff49da6a8d2aed76ac19453b4b69ece911cb3dd855c398"
+    )
+
+
+def test_dedup_matches_networkx_atlas_up_to_n7():
+    # the atlas lists every graph on at most 7 vertices, one per class,
+    # and shares no code with the generator
+    nx = pytest.importorskip("networkx")
+    want = {n: set() for n in range(1, 8)}
+    for h in nx.graph_atlas_g()[1:]:  # entry 0 is the null graph
+        if nx.is_connected(h):
+            want[h.number_of_nodes()].add(
+                canonical_key(Graph(h.number_of_nodes(), list(h.edges())))
+            )
+    for n in range(1, 8):
+        got = [canonical_key(g) for g in enumerate_connected_graphs(n, dedup=True)]
+        assert len(got) == len(set(got)) == len(want[n])
+        assert set(got) == want[n]
+
+
+def test_certificate_separates_exactly_the_classes_n5():
+    # disconnected graphs included: equal certificates iff equal canonical keys
+    for n in range(1, 6):
+        pairs = {
+            (_certificate(g._nbr), canonical_key(g))
+            for g in _labeled_graphs(n, connected_only=False)
+        }
+        assert len({c for c, _ in pairs}) == len({k for _, k in pairs}) == len(pairs)
+
+
+def _relabeled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _complete_multipartite(*parts):
+    part = [i for i, size in enumerate(parts) for _ in range(size)]
+    return Graph(len(part), [(u, v) for u, v in combinations(range(len(part)), 2)
+                             if part[u] != part[v]])
+
+
+def test_certificate_is_invariant_where_refinement_barely_splits():
+    # refinement leaves these graphs one colour class, or one per degree,
+    # so the certificate rests on the search
+    k33 = _complete_multipartite(3, 3)
+    prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                      (0, 3), (1, 4), (2, 5)])
+    graphs = [
+        zoo.circulant(7, [1, 2]),
+        zoo.circulant(8, [1, 3]),
+        zoo.circulant(9, [1, 3]),
+        zoo.circulant(10, [1, 2]),
+        zoo.circulant(11, [1, 3]),
+        zoo.circulant(12, [1, 4, 5]),
+        zoo.petersen(),
+        k33,
+        prism,
+        _complete_multipartite(2, 2, 3),
+        _complete_multipartite(3, 3, 3),
+        _complete_multipartite(1, 2, 3, 4),
+        _complete_multipartite(4, 4, 4),
+    ]
+    rng = random.Random(20260)
+    for g in graphs:
+        cert = _certificate(g._nbr)
+        # the certificate encodes a relabeled copy of g
+        assert canonical_key(graph_from_key(g.n, cert)) == canonical_key(g)
+        for _ in range(6):
+            assert _certificate(_relabeled(g, rng)._nbr) == cert
+    assert _certificate(k33._nbr) != _certificate(prism._nbr)
+
+
+def test_canonical_key_equals_brute_force_on_twin_rich_graphs():
+    # many twins, relabeled so that twin classes are not index intervals
+    def k_minus_matching(n, m):
+        return Graph(n, [e for e in combinations(range(n), 2)
+                         if not (e[0] % 2 == 0 and e[1] == e[0] + 1 and e[1] < 2 * m)])
+
+    graphs = [
+        zoo.star(5),
+        zoo.star(6),
+        _complete_multipartite(2, 4),
+        _complete_multipartite(3, 3),
+        _complete_multipartite(2, 5),
+        _complete_multipartite(3, 4),
+        _complete_multipartite(2, 2, 2),
+        _complete_multipartite(1, 2, 3),
+        _complete_multipartite(2, 2, 3),
+        _complete_multipartite(1, 1, 2, 3),
+        k_minus_matching(6, 1),
+        k_minus_matching(6, 3),
+        k_minus_matching(7, 2),
+        k_minus_matching(7, 3),
+    ]
+    rng = random.Random(4401)
+    for g in graphs:
+        assert g.n in (6, 7)
+        h = _relabeled(g, rng)
+        assert canonical_key(g) == canonical_key(h) == brute_force_key(h)
 
 
 def test_labeled_connected_counts():

@@ -24,6 +24,16 @@ def test_unknown_suite_rejected():
         run_suite("T99", EnumerationSource([3]))
 
 
+def test_enumeration_source_checks_range_up_front():
+    # each n is checked against the cap of the mode it will use
+    for ns, mode in (([], "auto"), ([0, 3], "auto"), (range(1, 10), "auto"),
+                     ([9], "dedup"), ([8], "labeled")):
+        with pytest.raises(ValueError):
+            EnumerationSource(ns, mode=mode)
+    assert EnumerationSource(range(1, 9)).ns == list(range(1, 9))
+    assert EnumerationSource([7], mode="labeled").ns == [7]
+
+
 def test_t16_instances_on_dedup_enumeration():
     from toughkit import canonical_graph
 
