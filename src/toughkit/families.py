@@ -193,15 +193,8 @@ def recognize_clawfree_half(g: Graph) -> tuple[bool, Graph | None]:
         fresh = g.n + i
         edges += [(a, fresh) for a in tri]
     tree = Graph(n_tree, edges)
-    if tree.edge_count != n_tree - 1 or not tree.is_connected():
-        return False, None
-    if tree.max_degree() > 3:
-        return False, None
-    fresh_set = set(range(g.n, n_tree))
     deg3 = {v for v in range(n_tree) if tree.degree(v) == 3}
-    if deg3 != fresh_set:
-        return False, None
-    if _valid_half_tree(tree) is not None:
+    if deg3 != set(range(g.n, n_tree)) or _valid_half_tree(tree) is not None:
         return False, None
     return True, tree
 

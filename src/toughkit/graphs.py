@@ -59,9 +59,6 @@ class Graph:
 
     # -- basic accessors ---------------------------------------------------
 
-    def neighbor_mask(self, v: int) -> int:
-        return self._nbr[v]
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return mask_to_tuple(self._nbr[v])
 
@@ -90,9 +87,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self._nbr) // 2
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     # -- derived graphs ----------------------------------------------------
 

@@ -339,54 +339,36 @@ def _suite_c18(rec: _Record) -> tuple[list[str], list[str]]:
     return [], violations
 
 
+def _witness_failures(rec: _Record, witness: Callable[..., object], *args) -> list[str]:
+    """``edge=u-v <reason>`` for each non-bridge edge e whose
+    ``witness(g, *args, e)`` raises RuntimeError; a returned witness has
+    already been re-checked."""
+    violations = []
+    for e in rec.g.edges():
+        if e not in rec.bridges:
+            try:
+                witness(rec.g, *args, e)
+            except RuntimeError as exc:
+                violations.append(f"edge={e[0]}-{e[1]} {exc}")
+    return violations
+
+
 def _suite_l19(rec: _Record) -> tuple[list[str], list[str]]:
     if not (rec.twok2 and rec.t is not None):
         return [], []
-    g = rec.g
-    violations = []
-    for e in g.edges():
-        if e in rec.bridges:
-            continue
-        try:
-            w = twok2_neighborhood_witness(g, rec.t, e)
-        except RuntimeError as exc:
-            violations.append(f"edge={e[0]}-{e[1]} {exc}")
-            continue
-        if not w.holds(g, rec.t):
-            violations.append(f"edge={e[0]}-{e[1]} witness-invalid")
-    return [f"t={rec.t}"], violations
+    return [f"t={rec.t}"], _witness_failures(rec, twok2_neighborhood_witness, rec.t)
 
 
 def _suite_l14(rec: _Record) -> tuple[list[str], list[str]]:
     if not (rec.clawfree and rec.t == HALF):
         return [], []
-    g = rec.g
-    violations = []
-    for e in g.edges():
-        try:
-            w = clawfree_half_witness(g, e)
-        except RuntimeError as exc:
-            violations.append(f"edge={e[0]}-{e[1]} {exc}")
-            continue
-        if len(w.vertices) > 1 or not w.holds(g, HALF):
-            violations.append(f"edge={e[0]}-{e[1]} size={len(w.vertices)}")
-    return [f"t=1/2"], violations
+    return ["t=1/2"], _witness_failures(rec, clawfree_half_witness)
 
 
 def _suite_c1(rec: _Record) -> tuple[list[str], list[str]]:
     if rec.t is None:
         return [], []
-    g = rec.g
-    violations = []
-    for e in g.edges():
-        try:
-            w = edge_deletion_witness(g, rec.t, e)
-        except RuntimeError as exc:
-            violations.append(f"edge={e[0]}-{e[1]} {exc}")
-            continue
-        if not w.holds(g, rec.t):
-            violations.append(f"edge={e[0]}-{e[1]} witness-invalid")
-    return [f"t={rec.t}"], violations
+    return [f"t={rec.t}"], _witness_failures(rec, edge_deletion_witness, rec.t)
 
 
 def _suite_t20(rec: _Record) -> tuple[list[str], list[str]]:

@@ -3,17 +3,19 @@
 A graph is minimally t-tough when its toughness is exactly t and deleting
 any single edge drops the toughness below t.  For every edge e of such a
 graph there is a witness: either e is a bridge, or some set S satisfies
-c(G-S) <= |S|/t and c((G-e)-S) > |S|/t, making e a bridge of G-S.  The
-searches here return the smallest such set, ties broken by
-lexicographically least vertex tuple, and every returned witness is
-re-checked from scratch before it is handed back.
+c(G-S) <= |S|/t and c((G-e)-S) > |S|/t, making e a bridge of G-S.  One
+search finds it, drawing S from every vertex (``edge_deletion_witness``)
+or from the endpoints' neighborhood (``twok2_neighborhood_witness``); the
+claw-free witness is its size-one case at t = 1/2.  It returns the
+smallest set, ties broken by lexicographically least vertex tuple, and
+every returned witness is re-checked from scratch before it is handed back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .graphs import Graph, component_count, mask_to_tuple, set_to_mask
 from .toughness import Toughness, _cutsets, toughness
@@ -149,6 +151,39 @@ def _bridge_witness(g: Graph, e: tuple[int, int]) -> EdgeWitness | None:
     return None
 
 
+def _checked_edge(g: Graph, e: tuple[int, int]) -> tuple[int, int]:
+    """e in ascending order; ValueError unless it is an edge of g."""
+    u, v = e
+    if not (0 <= u < g.n and 0 <= v < g.n and g.has_edge(u, v)):
+        raise ValueError(f"({u},{v}) is not an edge")
+    return (u, v) if u < v else (v, u)
+
+
+def _witness_search(
+    g: Graph,
+    t: Fraction | int,
+    e: tuple[int, int],
+    pool: Callable[[int, int], Sequence[int]],
+    missing: str,
+) -> EdgeWitness:
+    """The shared per-edge search: the bridge witness, else the smallest
+    violating cutset of G-e drawn from ``pool(u, v)``.  RuntimeError with
+    ``missing`` (formatted with e and t) when the pool holds none."""
+    t = Fraction(t)
+    if t <= 0:
+        raise ValueError("t must be positive")
+    e = _checked_edge(g, e)
+    if not g.is_connected():
+        raise ValueError("graph is disconnected")
+    w = _bridge_witness(g, e)
+    if w is not None:
+        return w
+    combo = _first_violating_cutset(g.delete_edge(*e)._nbr, t, pool(*e))
+    if combo is None:
+        raise RuntimeError(missing.format(e=e, t=t))
+    return _build_witness(g, e, t, combo)
+
+
 def edge_deletion_witness(g: Graph, t: Fraction | int, e: tuple[int, int]) -> EdgeWitness:
     """Witness set for one edge of a minimally t-tough graph.
 
@@ -157,24 +192,10 @@ def edge_deletion_witness(g: Graph, t: Fraction | int, e: tuple[int, int]) -> Ed
     all of its properties exactly.  A disconnected graph, which is not
     minimally t-tough for any t, raises ValueError.
     """
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    u, v = e
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u},{v}) is not an edge")
-    if not g.is_connected():
-        raise ValueError("graph is disconnected")
-    e = (u, v) if u < v else (v, u)
-    w = _bridge_witness(g, e)
-    if w is not None:
-        return w
-    combo = _first_violating_cutset(g.delete_edge(*e)._nbr, t, range(g.n))
-    if combo is None:
-        raise RuntimeError(
-            f"no witness for edge {e}: the graph is not minimally {t}-tough"
-        )
-    return _build_witness(g, e, t, combo)
+    return _witness_search(
+        g, t, e, lambda u, v: range(g.n),
+        "no witness for edge {e}: the graph is not minimally {t}-tough",
+    )
 
 
 def split_clique_edge_witness(
@@ -193,8 +214,7 @@ def split_clique_edge_witness(
     C = frozenset(partition[0])
     I = frozenset(partition[1])
     u, v = e
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u},{v}) is not an edge")
+    e = _checked_edge(g, e)
     if u not in C or v not in C:
         raise ValueError(f"edge ({u},{v}) is not inside the clique side")
     if C & I or (C | I) != set(range(g.n)):
@@ -203,7 +223,6 @@ def split_clique_edge_witness(
         raise ValueError("clique side is not a clique")
     if any(g.has_edge(a, b) for a in I for b in I if a < b):
         raise ValueError("independent side is not independent")
-    e = (u, v) if u < v else (v, u)
     s = (C - {u, v}) | {w for w in I if g.has_edge(u, w) and g.has_edge(v, w)}
     if not s:
         w = _bridge_witness(g, e)
@@ -223,25 +242,18 @@ def clawfree_half_witness(g: Graph, e: tuple[int, int]) -> EdgeWitness:
 
     A non-bridge edge always lies in a component that is separated off by a
     single cut vertex; removing that vertex and the edge leaves three
-    components against the bound |S|/t = 2.
+    components against the bound |S|/t = 2.  The witness is the size-one
+    case of ``edge_deletion_witness`` at t = 1/2, whose search tries the
+    smallest sets first (every x of a 1/2-tough graph has c(G-x) <= 2); a
+    larger or missing set raises RuntimeError, a disconnected graph ValueError.
     """
-    u, v = e
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u},{v}) is not an edge")
-    e = (u, v) if u < v else (v, u)
-    w = _bridge_witness(g, e)
-    if w is not None:
-        return w
-    full = (1 << g.n) - 1
-    masks = g.delete_edge(*e)._nbr
-    for x in range(g.n):
-        pool = full ^ (1 << x)
-        if component_count(masks, pool) > 2 >= component_count(g._nbr, pool):
-            return _build_witness(g, e, Fraction(1, 2), (x,))
-    raise RuntimeError(
-        f"no single-vertex witness for edge {e}: "
-        "graph is not minimally 1/2-tough claw-free"
-    )
+    w = edge_deletion_witness(g, Fraction(1, 2), e)
+    if len(w.vertices) > 1:
+        raise RuntimeError(
+            f"no single-vertex witness for edge {w.edge}: "
+            "graph is not minimally 1/2-tough claw-free"
+        )
+    return w
 
 
 def twok2_neighborhood_witness(
@@ -256,22 +268,8 @@ def twok2_neighborhood_witness(
     Raises RuntimeError when the pool holds no witness, and ValueError on a
     disconnected graph.
     """
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    u, v = e
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u},{v}) is not an edge")
-    if not g.is_connected():
-        raise ValueError("graph is disconnected")
-    e = (u, v) if u < v else (v, u)
-    w = _bridge_witness(g, e)
-    if w is not None:
-        return w
-    hood = (g._nbr[u] | g._nbr[v]) & ~(1 << u) & ~(1 << v)
-    combo = _first_violating_cutset(g.delete_edge(*e)._nbr, t, mask_to_tuple(hood))
-    if combo is None:
-        raise RuntimeError(
-            f"no witness for edge {e} inside the endpoint neighborhood"
-        )
-    return _build_witness(g, e, t, combo)
+    return _witness_search(
+        g, t, e,
+        lambda u, v: mask_to_tuple((g._nbr[u] | g._nbr[v]) & ~(1 << u | 1 << v)),
+        "no witness for edge {e} inside the endpoint neighborhood",
+    )

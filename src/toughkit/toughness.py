@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from itertools import accumulate, combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -25,6 +26,7 @@ from .graphs import (
 )
 
 
+@total_ordering
 class Toughness:
     """Toughness value: infinite (complete graph), zero (disconnected), or a
     positive fraction.  Totally ordered, comparable against plain numbers."""
@@ -92,20 +94,6 @@ class Toughness:
         if a is None:
             return False
         return b is None or a < b
-
-    def __le__(self, other: object) -> bool:
-        return self == other or self < other
-
-    def __gt__(self, other: object) -> bool:
-        a, b = self._key(other)
-        if b is NotImplemented:
-            return NotImplemented
-        if b is None:
-            return False
-        return a is None or a > b
-
-    def __ge__(self, other: object) -> bool:
-        return self == other or self > other
 
     def __hash__(self) -> int:
         return hash(self._value)

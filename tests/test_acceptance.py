@@ -60,21 +60,6 @@ def report(tag, ok, detail=""):
     return ok
 
 
-def _valid_trees(min_n, max_n):
-    for n in range(min_n, max_n + 1):
-        for t in enumerate_trees(n):
-            if t.max_degree() > 3:
-                continue
-            special = [v for v in range(n) if t.degree(v) in (1, 3)]
-            if any(
-                t.has_edge(u, v)
-                for i, u in enumerate(special)
-                for v in special[i + 1 :]
-            ):
-                continue
-            yield t
-
-
 # -- A1: oracle equivalence ------------------------------------------------------
 
 
@@ -172,7 +157,7 @@ def test_a05a_clawfree_half_members_pinned_path_set(sweep7):
     # generate drops the degree-3 vertices; valid trees with two or more of
     # them give at least 9 vertices, so trees up to 9 cover every output n <= 7
     constructed = set()
-    for tree in _valid_trees(3, 9):
+    for tree in zoo.half_trees(9):
         out = generate(ClawfreeHalfFromTree(tree))
         if out.n <= 7:
             constructed.add(canonical_key(out))
@@ -207,7 +192,7 @@ def test_a05d_tree_round_trip():
     """generate then recognize returns an isomorphic tree, for every valid
     tree on at most 9 vertices."""
     count = 0
-    for tree in _valid_trees(3, 9):
+    for tree in zoo.half_trees(9):
         out = generate(ClawfreeHalfFromTree(tree))
         accepted, cert = recognize_clawfree_half(out)
         assert accepted, tree.edges()
@@ -441,7 +426,7 @@ def test_a09_edge_witnesses(sweep7):
                     formula_checked += 1
     # triangle-from-tree family members with up to 11 vertices
     family_checked = 0
-    for tree in _valid_trees(3, 12):
+    for tree in zoo.half_trees(12):
         g = generate(ClawfreeHalfFromTree(tree))
         if g.n > 11:
             continue

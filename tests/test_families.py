@@ -23,7 +23,7 @@ from toughkit import (
     split_expand,
     toughness,
 )
-from toughkit.enumeration import _labeled_graphs, enumerate_trees
+from toughkit.enumeration import _labeled_graphs
 from toughkit.families import parse_descriptor
 from toughkit.recognition import _twok2_verdict
 
@@ -70,21 +70,6 @@ def test_triangle_construction_rejects_bad_trees():
         generate(ClawfreeHalfFromTree(zoo.star(4)))  # degree 4
 
 
-def _valid_trees(max_n):
-    for n in range(3, max_n + 1):
-        for t in enumerate_trees(n):
-            if t.max_degree() > 3:
-                continue
-            special = [v for v in range(n) if t.degree(v) in (1, 3)]
-            if any(
-                t.has_edge(u, v)
-                for i, u in enumerate(special)
-                for v in special[i + 1 :]
-            ):
-                continue
-            yield t
-
-
 def test_generated_family_members_are_minimally_tough():
     for b in (2, 3, 4):
         assert is_minimally_t_tough(generate(Star(b)), F(1, b))
@@ -95,12 +80,12 @@ def test_generated_family_members_are_minimally_tough():
         assert is_minimally_t_tough(generate(Path(n)), F(1, 2))
     for n in (4, 5, 6, 7):
         assert is_minimally_t_tough(generate(Cycle(n)), F(1))
-    for tree in _valid_trees(8):
+    for tree in zoo.half_trees(8):
         assert is_minimally_t_tough(generate(ClawfreeHalfFromTree(tree)), F(1, 2))
 
 
 def test_generator_recognizer_round_trip():
-    for tree in _valid_trees(8):
+    for tree in zoo.half_trees(8):
         out = generate(ClawfreeHalfFromTree(tree))
         accepted, cert = recognize_clawfree_half(out)
         assert accepted

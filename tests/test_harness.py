@@ -5,6 +5,7 @@ import pytest
 import zoo
 from toughkit import (
     EnumerationSource,
+    Graph,
     Graph6Source,
     encode_graph6,
     run_suite,
@@ -204,3 +205,29 @@ def test_classify_matches_minimal_toughness_value(max_n, dedup):
     for n in range(1, max_n + 1):
         for g in enumerate_connected_graphs(n, dedup=dedup):
             assert classify(g).t == minimal_toughness_value(g), g
+
+
+def test_witness_suites_report_failed_searches_per_edge():
+    # no sweep gives these rows: a record whose t is not tau(g) makes every
+    # non-bridge edge's witness search fail
+    c4 = classify(zoo.cycle(4))
+    edges = ("0-1", "0-3", "1-2", "2-3")
+    assert SUITES["C1"](c4._replace(t=F(2))) == (["t=2"], [
+        f"edge={e} witness re-validation failed for edge ({e[0]}, {e[2]}); "
+        "is the graph really minimally tough?"
+        for e in edges
+    ])
+    assert SUITES["L14"](c4._replace(t=F(1, 2))) == (["t=1/2"], [
+        f"edge={e} no witness for edge ({e[0]}, {e[2]}): "
+        "the graph is not minimally 1/2-tough"
+        for e in edges
+    ])
+    # only S = {0, 1} separates edge 2-3: L14 names the set size
+    hubs = classify(
+        Graph(7, [(0, 2), (2, 3), (3, 1)] + [(h, x) for h in (0, 1) for x in (4, 5, 6)])
+    )
+    _, violations = SUITES["L14"](hubs._replace(clawfree=True, t=F(1, 2)))
+    assert len(violations) == 9 and violations[-1] == (
+        "edge=2-3 no single-vertex witness for edge (2, 3): "
+        "graph is not minimally 1/2-tough claw-free"
+    )

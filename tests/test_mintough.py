@@ -5,10 +5,13 @@ import pytest
 
 import zoo
 from toughkit import (
+    ClawfreeHalfFromTree,
     Graph,
+    bridges,
     clawfree_half_witness,
     components,
     edge_deletion_witness,
+    generate,
     is_minimally_t_tough,
     minimal_toughness_value,
     split_clique_edge_witness,
@@ -166,6 +169,58 @@ def test_clawfree_half_witness_examples():
     assert clawfree_half_witness(zoo.path(5), (2, 3)).bridge_case
     with pytest.raises(RuntimeError):
         clawfree_half_witness(zoo.cycle(4), (0, 1))
+
+
+def test_clawfree_half_witness_rejects_disconnected_and_two_vertex_sets():
+    with pytest.raises(ValueError, match="disconnected"):
+        clawfree_half_witness(Graph(5, [(0, 1), (1, 2), (3, 4)]), (0, 1))
+    # hubs 0 and 1 with three common neighbors and the path 0-2-3-1: only
+    # S = {0, 1} separates edge 2-3 (4 components before, 5 after)
+    g = Graph(7, [(0, 2), (2, 3), (3, 1)] + [(h, x) for h in (0, 1) for x in (4, 5, 6)])
+    assert edge_deletion_witness(g, F(1, 2), (2, 3)).vertices == {0, 1}
+    with pytest.raises(RuntimeError, match="no single-vertex witness for edge"):
+        clawfree_half_witness(g, (3, 2))
+
+
+def clawfree_half_by_definition(g, e):
+    """The empty set for a bridge, else the first x with c((G-e)-x) > 2 >= c(G-x)."""
+    if e in bridges(g):
+        return frozenset()
+    gm = g.delete_edge(*e)
+    for x in range(g.n):
+        if components(gm, [x]).count > 2 >= components(g, [x]).count:
+            return frozenset({x})
+    return None
+
+
+def test_clawfree_half_witness_matches_definition_on_triangle_family():
+    checked = 0
+    for tree in zoo.half_trees(12):
+        g = generate(ClawfreeHalfFromTree(tree))
+        if g.n > 11:
+            continue
+        for e in g.edges():
+            assert clawfree_half_witness(g, e).vertices == clawfree_half_by_definition(g, e)
+            checked += 1
+    assert checked > 100
+    c4 = zoo.cycle(4)
+    assert clawfree_half_by_definition(c4, (0, 1)) is None
+    with pytest.raises(RuntimeError):
+        clawfree_half_witness(c4, (0, 1))
+
+
+@pytest.mark.parametrize("e", [(-1, 0), (0, -1), (4, 3)])
+def test_witness_searches_reject_endpoints_outside_the_graph(e):
+    c4 = zoo.cycle(4)
+    calls = (
+        lambda: edge_deletion_witness(c4, 1, e),
+        lambda: twok2_neighborhood_witness(c4, 1, e),
+        lambda: clawfree_half_witness(c4, e),
+        lambda: split_clique_edge_witness(c4, ({0, 1}, {2, 3}), e),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=r"is not an edge"):
+            call()
 
 
 def test_clawfree_half_witness_on_family():

@@ -40,6 +40,19 @@ def test_toughness_value_type():
         Toughness.infinite().value
 
 
+def test_toughness_order_agrees_with_value_order():
+    ranked = [Toughness.zero(), Toughness.finite(F(1, 3)), Toughness.finite(1),
+              Toughness.infinite()]
+    for i, a in enumerate(ranked):
+        for j, b in enumerate(ranked):
+            assert (a < b, a <= b, a > b, a >= b, a == b) == (
+                i < j, i <= j, i > j, i >= j, i == j
+            )
+    half = Toughness.finite(F(1, 2))
+    assert half <= F(1, 2) <= half and half >= F(1, 2) and half > 0
+    assert F(1, 3) < half < 1 and not half >= 1 and Toughness.infinite() >= 10**9
+
+
 def test_named_toughness_values():
     cases = [
         (zoo.complete(4), Toughness.infinite()),

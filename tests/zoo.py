@@ -4,7 +4,7 @@ Kept independent of the package's family generators so tests can use these
 as fixtures without circularity.
 """
 
-from toughkit import Graph
+from toughkit import Graph, enumerate_trees
 
 
 def complete(n):
@@ -126,3 +126,20 @@ def octahedron():
 def cricket():
     # vertex 4 joined to everything, plus the edge 2-3
     return Graph(5, [(0, 4), (1, 4), (2, 3), (2, 4), (3, 4)])
+
+
+def half_trees(max_n):
+    """Trees on 3..max_n vertices that the triangle-from-tree construction
+    accepts: maximum degree 3, degree-1/degree-3 vertices independent."""
+    for n in range(3, max_n + 1):
+        for t in enumerate_trees(n):
+            if t.max_degree() > 3:
+                continue
+            special = [v for v in range(n) if t.degree(v) in (1, 3)]
+            if any(
+                t.has_edge(u, v)
+                for i, u in enumerate(special)
+                for v in special[i + 1 :]
+            ):
+                continue
+            yield t
