@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import __version__
 from .families import ClawfreeHalfFromTree, generate, parse_descriptor
 from .graph6 import DEFAULT_VERTEX_CAP, check_cap, encode_graph6, parse_graph_auto
-from .graphs import Graph
+from .graphs import Graph, set_to_str
 from .harness import (
     SUITES,
     EnumerationSource,
@@ -77,17 +77,12 @@ def _read_graph(path: str | None, cap: int) -> Graph:
         raise SystemExit2(f"bad graph input: {exc}") from None
 
 
-def _setstr(vs) -> str:
-    return "{" + ",".join(str(v) for v in sorted(vs)) + "}"
-
-
 # -- subcommands -----------------------------------------------------------------
 
 
-def _cmd_toughness(args, out) -> int:
-    g = _read_graph(args.graph, args.cap)
-    tau, witness = toughness(g)
-    print(tau, file=out)
+def _print_answer(answer, witness, out) -> int:
+    """The answer line, then the witness cutset line if there is one."""
+    print(answer, file=out)
     if witness is not None:
         print(
             f"witness {witness} |S|={witness.cut_size} "
@@ -95,19 +90,16 @@ def _cmd_toughness(args, out) -> int:
             file=out,
         )
     return 0
+
+
+def _cmd_toughness(args, out) -> int:
+    return _print_answer(*toughness(_read_graph(args.graph, args.cap)), out)
 
 
 def _cmd_is_tough(args, out) -> int:
     g = _read_graph(args.graph, args.cap)
     ok, witness = is_t_tough(g, _parse_t(args.t))
-    print("true" if ok else "false", file=out)
-    if witness is not None:
-        print(
-            f"witness {witness} |S|={witness.cut_size} "
-            f"components={witness.component_count}",
-            file=out,
-        )
-    return 0
+    return _print_answer("true" if ok else "false", witness, out)
 
 
 def _cmd_classify(args, out) -> int:
@@ -120,7 +112,7 @@ def _cmd_classify(args, out) -> int:
             cc.verdict,
             f"order=[{','.join(map(str, cc.elimination_order))}]"
             if cc.verdict
-            else f"witness={_setstr(cc.witness)}",
+            else f"witness={set_to_str(cc.witness)}",
         )
     )
     sc = is_split(g)
@@ -128,14 +120,14 @@ def _cmd_classify(args, out) -> int:
         (
             "split",
             sc.verdict,
-            f"C={_setstr(sc.clique)} I={_setstr(sc.independent)}"
+            f"C={set_to_str(sc.clique)} I={set_to_str(sc.independent)}"
             if sc.verdict
-            else f"witness={_setstr(sc.witness)}",
+            else f"witness={set_to_str(sc.witness)}",
         )
     )
     for name, cert in (("claw-free", is_claw_free(g)), ("2k2-free", is_2k2_free(g))):
         rows.append(
-            (name, cert.verdict, "-" if cert.verdict else f"witness={_setstr(cert.witness)}")
+            (name, cert.verdict, "-" if cert.verdict else f"witness={set_to_str(cert.witness)}")
         )
     for name, verdict, detail in rows:
         print(f"{name:<9} {'yes' if verdict else 'no':<3} {detail}", file=out)
@@ -156,7 +148,7 @@ def _cmd_min_tough(args, out) -> int:
 def _cmd_witness(args, out) -> int:
     g = _read_graph(args.graph, args.cap)
     u, v = _parse_edge(args.edge)
-    if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
+    if not g.has_edge(u, v):
         raise SystemExit2(f"{args.edge} is not an edge of the input graph")
     t = minimal_toughness_value(g)
     if t is None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator
 
+from .graph6 import graph_from_key
 from .graphs import Graph, component_count, component_masks
 
 MAX_DEDUP_N = 8
@@ -109,19 +110,6 @@ def _certificate(nbr: tuple[int, ...]) -> int:
     for v in range(n):
         cells[colour[v]] |= 1 << v
     return _min_encoding(nbr, [cells[c] for c in sorted(colour)])
-
-
-def graph_from_key(n: int, key: int) -> Graph:
-    """Rebuild a graph from its adjacency-encoding integer."""
-    masks = [0] * n
-    shift = n * (n - 1) // 2
-    for j in range(1, n):
-        for i in range(j):
-            shift -= 1
-            if key >> shift & 1:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return Graph._from_masks(n, tuple(masks))
 
 
 def canonical_graph(g: Graph) -> Graph:

@@ -12,8 +12,6 @@ vertices); ``Graph`` itself only enforces the 64-vertex word bound.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .graphs import MAX_VERTEX_CAP, Graph
 
 DEFAULT_VERTEX_CAP = 32
@@ -31,12 +29,6 @@ def check_cap(cap: int) -> int:
     if not 1 <= cap <= MAX_VERTEX_CAP:
         raise ValueError(f"vertex cap must be in 1..{MAX_VERTEX_CAP}, got {cap}")
     return cap
-
-
-@lru_cache(maxsize=None)
-def _pair_order(n: int) -> tuple[tuple[int, int], ...]:
-    # Upper-triangle bit order: (0,1), (0,2), (1,2), (0,3), (1,3), (2,3), ...
-    return tuple((i, j) for j in range(1, n) for i in range(j))
 
 
 def parse_graph6(line: str, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
@@ -83,14 +75,21 @@ def parse_graph6(line: str, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     pad = nchars * 6 - nbits
     if val & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits")
-    val >>= pad
+    return graph_from_key(n, val >> pad)
+
+
+def graph_from_key(n: int, key: int) -> Graph:
+    """Rebuild a graph from its adjacency bits as one integer, in graph6
+    order (0,1), (0,2), (1,2), (0,3), ... with the first pair most
+    significant."""
     masks = [0] * n
-    shift = nbits
-    for i, j in _pair_order(n):
-        shift -= 1
-        if val >> shift & 1:
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
+    shift = n * (n - 1) // 2
+    for j in range(1, n):
+        for i in range(j):
+            shift -= 1
+            if key >> shift & 1:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
     return Graph._from_masks(n, tuple(masks))
 
 
@@ -103,8 +102,9 @@ def encode_graph6(g: Graph) -> str:
         head = "~" + chr((n >> 12) + 63) + chr((n >> 6 & 63) + 63) + chr((n & 63) + 63)
     nbr = g._nbr
     val = 0
-    for i, j in _pair_order(n):
-        val = val << 1 | (nbr[i] >> j & 1)
+    for j in range(1, n):
+        for i in range(j):
+            val = val << 1 | (nbr[i] >> j & 1)
     nbits = n * (n - 1) // 2
     nchars = (nbits + 5) // 6
     val <<= nchars * 6 - nbits

@@ -75,7 +75,8 @@ class Graph:
         return max((m.bit_count() for m in self._nbr), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._nbr[u] >> v & 1)
+        """False unless u and v are both in 0..n-1 and adjacent."""
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self._nbr[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         return [
@@ -147,6 +148,11 @@ def set_to_mask(vertices: Iterable[int]) -> int:
     for v in vertices:
         mask |= 1 << v
     return mask
+
+
+def set_to_str(vertices: Iterable[int]) -> str:
+    """The vertices as ``{a,b,...}``, ascending."""
+    return "{" + ",".join(str(v) for v in sorted(vertices)) + "}"
 
 
 # -- connected components ----------------------------------------------------

@@ -9,10 +9,10 @@ Reports are byte-stable: records are sorted canonically and elapsed time is
 kept out of the payload.
 
 Each sweep (one ``run_suites`` or ``scan_minimally_tough`` call) owns a
-toughness memo keyed by adjacency.  ``classify`` and T20 ask it for the
-toughness of g, of g - e and of split expansions, so every graph's
-toughness is searched for once per sweep: in a labeled sweep all of those
-graphs are themselves enumerated.  The memo is local to the call and is
+toughness memo keyed by the adjacency-mask tuple.  ``classify`` and T20 ask
+it for the toughness of g, of g - e and of split expansions, so every
+graph's toughness is searched for once per sweep: in a labeled sweep all of
+those graphs are themselves enumerated.  The memo is local to the call and is
 dropped when the sweep ends; nothing is cached across calls.
 
 Suites (all checked with exact rational arithmetic):
@@ -21,7 +21,8 @@ Suites (all checked with exact rational arithmetic):
 * ``T7``   minimally t-tough chordal, t <= 1/2: simplicial vertices have degree 1
 * ``T8``   no minimally t-tough split graph has t > 1/2
 * ``T11``  minimally tough split graphs match the star/double-star/triangle shapes
-* ``T12``  connected noncomplete claw-free: twice the toughness equals connectivity
+* ``T12``  connected noncomplete claw-free: twice the toughness equals connectivity,
+  the size of the first cutset the toughness search's scan meets
 * ``T16``  minimally 1-tough claw-free graphs are exactly the cycles >= 4
 * ``T17``  minimally 1/2-tough claw-free graphs match the triangle-from-tree family
 * ``C18``  2K2-free: no cutset leaves two components of size >= 2
@@ -49,7 +50,7 @@ from .families import (
     recognize_split_min_tough,
 )
 from .graph6 import DEFAULT_VERTEX_CAP, Graph6Error, check_cap, encode_graph6, parse_graph6
-from .graphs import Graph, bridges, component_masks, simplicial_vertices, vertex_connectivity
+from .graphs import Graph, bridges, component_masks, set_to_str, simplicial_vertices
 from .mintough import (
     clawfree_half_witness,
     edge_deletion_witness,
@@ -61,7 +62,7 @@ from .recognition import (
     _split_verdict,
     _twok2_verdict,
 )
-from .toughness import Toughness, toughness
+from .toughness import Toughness, _cutsets, toughness
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -132,25 +133,21 @@ class Graph6Source:
 class _ToughnessMemo:
     """Toughness of every graph one sweep asks about, each searched once.
 
-    Keys are the adjacency masks packed into one int together with n; equal
+    Keys are the graphs' adjacency-mask tuples, which also fix n; equal
     values share one ``Toughness`` object, which keeps the memo small.
     """
 
     __slots__ = ("_tau", "_values")
 
     def __init__(self) -> None:
-        self._tau: dict[int, Toughness] = {}
+        self._tau: dict[tuple[int, ...], Toughness] = {}
         self._values: dict[Toughness, Toughness] = {}
 
     def __call__(self, g: Graph) -> Toughness:
-        key = 0
-        for m in reversed(g._nbr):
-            key = key << g.n | m
-        key = key << 7 | g.n  # n <= 64 fits in 7 bits
-        tau = self._tau.get(key)
+        tau = self._tau.get(g._nbr)
         if tau is None:
             tau, _ = toughness(g)
-            tau = self._tau[key] = self._values.setdefault(tau, tau)
+            tau = self._tau[g._nbr] = self._values.setdefault(tau, tau)
         return tau
 
 
@@ -292,7 +289,10 @@ def _suite_t11(rec: _Record) -> tuple[list[str], list[str]]:
 def _suite_t12(rec: _Record) -> tuple[list[str], list[str]]:
     if not (rec.clawfree and rec.connected and not rec.g.is_complete()):
         return [], []
-    kappa = vertex_connectivity(rec.g).value
+    # the size-ordered scan meets its first cutset at size kappa, as did the
+    # toughness search classify already ran, so this costs no more than that
+    cut, _ = next(_cutsets(rec.g._nbr, range(rec.g.n), lambda size: 2))
+    kappa = len(cut)
     if 2 * rec.tau.value != kappa:
         return [], [f"tau={rec.tau} kappa={kappa}"]
     return [], []
@@ -335,7 +335,7 @@ def _suite_c18(rec: _Record) -> tuple[list[str], list[str]]:
         big = sum(1 for m in comps if m.bit_count() >= 2)
         if big > 1:
             cut = [v for v in range(g.n) if removed >> v & 1]
-            violations.append(f"cutset={_setstr(cut)} big-components={big}")
+            violations.append(f"cutset={set_to_str(cut)} big-components={big}")
     return [], violations
 
 
@@ -434,10 +434,6 @@ REPORT_ONLY_SUITES = frozenset({"KRIESELL"})
 
 def _frac(x: Fraction | None) -> str:
     return "none" if x is None else str(x)
-
-
-def _setstr(vs: Iterable[int]) -> str:
-    return "{" + ",".join(str(v) for v in sorted(vs)) + "}"
 
 
 # -- runners -------------------------------------------------------------------

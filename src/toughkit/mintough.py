@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .graphs import Graph, component_count, mask_to_tuple, set_to_mask
+from .graphs import Graph, component_count, mask_to_tuple, set_to_mask, set_to_str
 from .toughness import Toughness, _cutsets, toughness
 
 
@@ -66,9 +66,8 @@ class EdgeWitness:
         u, v = self.edge
         if self.bridge_case:
             return f"edge {u}-{v}: bridge, S = {{}}"
-        inner = ",".join(str(x) for x in sorted(self.vertices))
         return (
-            f"edge {u}-{v}: S = {{{inner}}}, "
+            f"edge {u}-{v}: S = {set_to_str(self.vertices)}, "
             f"omega(G-S) = {self.omega_before} <= |S|/t = {self.bound}, "
             f"omega((G-e)-S) = {self.omega_after} > {self.bound}"
         )
@@ -154,7 +153,7 @@ def _bridge_witness(g: Graph, e: tuple[int, int]) -> EdgeWitness | None:
 def _checked_edge(g: Graph, e: tuple[int, int]) -> tuple[int, int]:
     """e in ascending order; ValueError unless it is an edge of g."""
     u, v = e
-    if not (0 <= u < g.n and 0 <= v < g.n and g.has_edge(u, v)):
+    if not g.has_edge(u, v):
         raise ValueError(f"({u},{v}) is not an edge")
     return (u, v) if u < v else (v, u)
 

@@ -22,8 +22,10 @@ from .graphs import (
     component_masks,
     mask_to_tuple,
     set_to_mask,
+    set_to_str,
     vertex_connectivity,
 )
+from .recognition import is_claw_free
 
 
 @total_ordering
@@ -117,22 +119,15 @@ class WitnessSet:
     ratio: Fraction
 
     def revalidate(self, g: Graph) -> bool:
-        """Recompute everything from the graph and check consistency.  A set
-        holding a vertex outside the graph is not a cutset of it."""
-        if any(not 0 <= v < g.n for v in self.vertices):
+        """Does ``witness_for`` rebuild exactly this witness from the graph?
+        A set that is no cutset of g, or holds a vertex outside it, fails."""
+        try:
+            return witness_for(g, self.vertices) == self
+        except ValueError:
             return False
-        full = (1 << g.n) - 1
-        omega = component_count(g._nbr, full ^ set_to_mask(self.vertices))
-        return (
-            self.cut_size == len(self.vertices)
-            and self.component_count == omega
-            and omega >= 2
-            and self.ratio == Fraction(self.cut_size, omega)
-        )
 
     def __str__(self) -> str:
-        inner = ",".join(str(v) for v in sorted(self.vertices))
-        return "{" + inner + "}"
+        return set_to_str(self.vertices)
 
 
 def witness_for(g: Graph, vertices: Iterable[int]) -> WitnessSet:
@@ -317,19 +312,16 @@ def is_t_tough(g: Graph, t: Fraction | int) -> tuple[bool, WitnessSet | None]:
     return (best is None), best
 
 
-def clawfree_toughness(g: Graph, validate: bool = False) -> Toughness:
+def clawfree_toughness(g: Graph) -> Toughness:
     """Toughness via the connectivity identity for claw-free graphs.
 
     For a connected noncomplete claw-free graph the toughness equals half
-    the vertex connectivity.  The caller certifies claw-freeness;
-    validate=True checks it and raises on a claw.
+    the vertex connectivity (Matthews-Sumner), taken from the max-flow
+    ``vertex_connectivity``.  A graph with a claw raises ValueError.
     """
-    if validate:
-        from .recognition import is_claw_free
-
-        cert = is_claw_free(g)
-        if not cert.verdict:
-            raise ValueError(f"graph contains a claw: {cert.witness}")
+    cert = is_claw_free(g)
+    if not cert.verdict:
+        raise ValueError(f"graph contains a claw: {cert.witness}")
     if g.is_complete():
         return Toughness.infinite()
     if not g.is_connected():

@@ -3,6 +3,7 @@ import io
 import os
 import random
 import re
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -127,6 +128,14 @@ def test_witness_command():
     assert code == 2
     code, out = run_cli(["witness", "0-1"], stdin_text=encode_graph6(zoo.paw()))
     assert code == 1
+
+
+@pytest.mark.parametrize("edge", ["4-3", "0-4"])
+def test_witness_rejects_endpoints_outside_the_graph(edge, capsys):
+    # a negative endpoint cannot be written as u-v: argparse reads it as a flag
+    code, out = run_cli(["witness", edge], stdin_text=encode_graph6(zoo.cycle(4)))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"toughkit: {edge} is not an edge of the input graph\n"
 
 
 def test_generate_command(tmp_path):
@@ -291,6 +300,47 @@ def test_query_stdout_is_pinned():
         digest.hexdigest()
         == "d63972aea1c98b0daf35cff59b461386b340eaa76ffcd6cd7a6b741c23bbc938"
     )
+
+
+def _clawfree_corpus():
+    # claw-free graphs on 8-12 vertices (the circulants C_n(1,2), L(K5), C9
+    # and a triangle-from-tree member), then the net, a disconnected graph,
+    # a blank line and a malformed line
+    pairs = list(combinations(range(5), 2))
+    line_k5 = Graph(
+        10, [(i, j) for i, j in combinations(range(10), 2) if set(pairs[i]) & set(pairs[j])]
+    )
+    graphs = [zoo.circulant(n, (1, 2)) for n in range(8, 13)]
+    graphs += [line_k5, zoo.cycle(9), generate(ClawfreeHalfFromTree(zoo.spider(3, 3, 4)))]
+    graphs += [zoo.net(), Graph(4, [(0, 1), (2, 3)])]
+    lines = [encode_graph6(g) for g in graphs]
+    return "\n".join(lines[:5] + ["", "bad line!!"] + lines[5:]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, want_code, want_sha256",
+    [
+        (
+            ["verify", "all"],
+            1,
+            "0e3a6b8f3dc31824097267c532a770d4526f96eb9f80c51205926ad4cdc034e3",
+        ),
+        (
+            ["scan"],
+            0,
+            "2254269d422e00b6e04e40950c96d1764bf188d9ce51cd9ad9eabafd3d0c644c",
+        ),
+    ],
+)
+def test_source_stdout_is_pinned(argv, want_code, want_sha256, tmp_path):
+    # reference outputs over graphs above 7 vertices, where T12 compares
+    # tau with kappa on every claw-free member
+    corpus = tmp_path / "clawfree.g6"
+    corpus.write_text(_clawfree_corpus())
+    code, out = run_cli(argv + ["--source", str(corpus)])
+    assert code == want_code
+    out = out.replace(str(corpus), "F")
+    assert hashlib.sha256(out.encode()).hexdigest() == want_sha256
 
 
 def test_env_cap_respected():

@@ -1,18 +1,22 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 import zoo
 from toughkit import (
+    EdgeWitness,
     Graph,
     blocks,
     bridges,
     components,
     edge,
+    edge_deletion_witness,
     parse_adjacency,
     parse_graph6,
     simplicial_vertices,
+    split_expand,
     vertex_connectivity,
 )
 from toughkit.enumeration import _labeled_graphs, enumerate_trees
@@ -145,6 +149,24 @@ def test_blocks_partition_edges_exhaustive_n5():
                     assert (u, v) not in seen
                     seen.add((u, v))
         assert seen == set(g.edges())
+
+
+@pytest.mark.parametrize("e", [(-1, 0), (0, -1), (4, 3), (0, 4)])
+def test_edge_queries_reject_vertices_outside_the_graph(e):
+    c4 = zoo.cycle(4)
+    assert not c4.has_edge(*e)
+    for call in (
+        lambda: c4.delete_edge(*e),
+        lambda: split_expand(c4, e),
+        lambda: edge_deletion_witness(c4, 1, e),
+    ):
+        with pytest.raises(ValueError, match="is not an edge"):
+            call()
+    for witness in (
+        EdgeWitness(e, frozenset({1}), False, 1, 2, Fraction(1)),
+        EdgeWitness(e, frozenset(), True, 1, 2, Fraction(0)),
+    ):
+        assert not witness.holds(c4, 1)
 
 
 def test_vertex_connectivity_examples():

@@ -190,6 +190,25 @@ def test_sweep_computes_bridges_once(monkeypatch):
     assert len(calls) == len(set(calls)) == scanned
 
 
+def test_sweep_makes_no_max_flow_calls(monkeypatch):
+    import toughkit
+    from toughkit import families, graphs, mintough, recognition, toughness
+
+    calls = []
+    real = graphs.vertex_connectivity
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    for module in (toughkit, graphs, harness, toughness, mintough, families, recognition):
+        if hasattr(module, "vertex_connectivity"):
+            monkeypatch.setattr(module, "vertex_connectivity", counting)
+    reports = run_suites(list(SUITES), EnumerationSource(range(1, 6), mode="labeled"))
+    # T12 takes kappa from the cutset scan, not from the max-flow search
+    assert reports[0].scanned == 772 and calls == []
+
+
 def test_scan_computes_each_toughness_once(monkeypatch):
     calls = []
     real = harness.toughness

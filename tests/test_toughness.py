@@ -22,6 +22,7 @@ from toughkit import (
 )
 from toughkit.enumeration import _labeled_graphs
 from toughkit.recognition import _clawfree_verdict
+from toughkit.toughness import _cutsets
 
 F = Fraction
 
@@ -161,7 +162,7 @@ def test_clawfree_toughness_matches_engine():
     assert clawfree_toughness(zoo.complete(5)).is_infinite
     assert clawfree_toughness(Graph(4, [(0, 1), (2, 3)])).is_zero
     with pytest.raises(ValueError):
-        clawfree_toughness(zoo.star(3), validate=True)
+        clawfree_toughness(zoo.star(3))
     for g in _labeled_graphs(6, connected_only=True):
         if _clawfree_verdict(g):
             assert clawfree_toughness(g) == toughness(g)[0]
@@ -176,6 +177,26 @@ def test_kappa_bound_and_clawfree_equality():
         assert 2 * tau <= kappa
         if _clawfree_verdict(g):
             assert 2 * tau == kappa
+
+
+def test_first_cutset_size_is_the_connectivity():
+    # suite T12 reads kappa off the size-ordered cutset scan; the max-flow
+    # vertex_connectivity is the reference
+    graphs = [g for n in range(3, 7) for g in _labeled_graphs(n, connected_only=True)]
+    rng = random.Random(2018)
+    for n in range(7, 13):
+        graphs += [zoo.circulant(n, steps) for steps in ((1,), (1, 2), (1, 3), (2, 3))]
+        for p in (0.3, 0.5, 0.7):
+            graphs.append(
+                Graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p])
+            )
+    checked = 0
+    for g in graphs:
+        if g.is_connected() and not g.is_complete():
+            cut, _ = next(_cutsets(g._nbr, range(g.n), lambda size: 2))
+            assert len(cut) == vertex_connectivity(g).value, g
+            checked += 1
+    assert checked > 27_000
 
 
 def test_edge_deletion_monotone():
