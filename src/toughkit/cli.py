@@ -184,8 +184,6 @@ def _make_source(args):
         text = _read_text(args.source)
         name = args.source if args.source != "-" else "stdin"
         return Graph6Source(text.splitlines(), f"file {name}", args.cap)
-    if args.enumerate is None:
-        raise SystemExit2("need --enumerate N or --source FILE")
     mode = {"auto": "auto", "always": "dedup", "never": "labeled"}[args.dedup]
     try:
         return EnumerationSource(range(1, args.enumerate + 1), mode=mode)
@@ -275,14 +273,15 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         if name == "verify":
             p.add_argument("suite", help="suite id or 'all'")
-        p.add_argument("--enumerate", type=int, metavar="N", help="sweep n=1..N")
+        corpus = p.add_mutually_exclusive_group(required=True)
+        corpus.add_argument("--enumerate", type=int, metavar="N", help="sweep n=1..N")
+        corpus.add_argument("--source", metavar="FILE", help="graph6 file ('-' = stdin)")
         p.add_argument(
             "--dedup",
             choices=["auto", "always", "never"],
             default="auto",
             help="isomorphism dedup for the enumeration (default auto)",
         )
-        p.add_argument("--source", metavar="FILE", help="graph6 file ('-' = stdin)")
         p.set_defaults(func=_cmd_verify if name == "verify" else _cmd_scan)
 
     return parser

@@ -228,6 +228,11 @@ def recognize_split_min_tough(g: Graph) -> Fraction | None:
     return Fraction(1, b)
 
 
+def is_long_cycle(g: Graph) -> bool:
+    """Whether g is a cycle on at least 4 vertices."""
+    return g.n >= 4 and g.is_connected() and all(g.degree(v) == 2 for v in range(g.n))
+
+
 def recognize_clawfree_min_tough(g: Graph) -> Fraction | None:
     """Settled values for minimally tough claw-free graphs: 1 and 1/2.
 
@@ -235,7 +240,7 @@ def recognize_clawfree_min_tough(g: Graph) -> Fraction | None:
     triangle-from-tree construction covers 1/2.  Other values are not
     characterized and give None.
     """
-    if g.n >= 4 and g.is_connected() and all(g.degree(v) == 2 for v in range(g.n)):
+    if is_long_cycle(g):
         return Fraction(1)
     if recognize_clawfree_half(g)[0]:
         return Fraction(1, 2)

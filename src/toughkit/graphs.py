@@ -59,11 +59,19 @@ class Graph:
 
     # -- basic accessors ---------------------------------------------------
 
+    def _has_vertex(self, v: int) -> bool:
+        return 0 <= v < self.n
+
+    def _mask(self, v: int) -> int:
+        if not self._has_vertex(v):
+            raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
+        return self._nbr[v]
+
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return mask_to_tuple(self._nbr[v])
+        return mask_to_tuple(self._mask(v))
 
     def degree(self, v: int) -> int:
-        return self._nbr[v].bit_count()
+        return self._mask(v).bit_count()
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(m.bit_count() for m in self._nbr)
@@ -76,7 +84,7 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         """False unless u and v are both in 0..n-1 and adjacent."""
-        return 0 <= u < self.n and 0 <= v < self.n and bool(self._nbr[u] >> v & 1)
+        return self._has_vertex(u) and self._has_vertex(v) and bool(self._nbr[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         return [
@@ -97,15 +105,6 @@ class Graph:
         nbr = list(self._nbr)
         nbr[u] &= ~(1 << v)
         nbr[v] &= ~(1 << u)
-        return Graph._from_masks(self.n, tuple(nbr))
-
-    def add_edges(self, edges: Iterable[tuple[int, int]]) -> "Graph":
-        nbr = list(self._nbr)
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            nbr[u] |= 1 << v
-            nbr[v] |= 1 << u
         return Graph._from_masks(self.n, tuple(nbr))
 
     # -- global predicates ---------------------------------------------------

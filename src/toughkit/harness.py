@@ -8,12 +8,13 @@ evaluates its predicate against the classification with exact arithmetic.
 Reports are byte-stable: records are sorted canonically and elapsed time is
 kept out of the payload.
 
-Each sweep (one ``run_suites`` or ``scan_minimally_tough`` call) owns a
-toughness memo keyed by the adjacency-mask tuple.  ``classify`` and T20 ask
-it for the toughness of g, of g - e and of split expansions, so every
-graph's toughness is searched for once per sweep: in a labeled sweep all of
-those graphs are themselves enumerated.  The memo is local to the call and is
-dropped when the sweep ends; nothing is cached across calls.
+Both sweeps, ``run_suites`` and ``scan_minimally_tough``, read the source
+through one stream, ``_classified``, which owns the sweep's toughness memo
+(keyed by the adjacency-mask tuple) and collects the malformed lines.
+``classify`` and T20 ask the memo for the toughness of g, of g - e and of
+split expansions, so every graph's toughness is searched for once per sweep:
+in a labeled sweep all of those graphs are themselves enumerated.  The memo
+is dropped when the stream ends; nothing is cached across calls.
 
 Suites (all checked with exact rational arithmetic):
 
@@ -41,11 +42,13 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .enumeration import MAX_DEDUP_N, MAX_LABELED_N, enumerate_connected_graphs
 from .families import (
     delete_and_complete,
+    is_long_cycle,
     recognize_clawfree_half,
     recognize_split_min_tough,
 )
@@ -168,15 +171,13 @@ class _Record(NamedTuple):
         return encode_graph6(self.g)
 
 
-def classify(g: Graph, tau_of: Callable[[Graph], Toughness] | None = None) -> _Record:
+def classify(g: Graph, tau_of: Callable[[Graph], Toughness]) -> _Record:
     """One-pass classification shared by every suite.
 
-    ``tau_of`` is the sweep's toughness memo; without one, a fresh memo
-    serves this graph alone.  g is minimally t-tough, t = tau(g), when every
-    edge is a bridge or its deletion drops the toughness below t.
+    ``tau_of`` is the sweep's toughness memo.  g is minimally t-tough,
+    t = tau(g), when every edge is a bridge or its deletion drops the
+    toughness below t.
     """
-    if tau_of is None:
-        tau_of = _ToughnessMemo()
     tau = tau_of(g)
     bridge_set = bridges(g)
     t: Fraction | None = None
@@ -196,6 +197,20 @@ def classify(g: Graph, tau_of: Callable[[Graph], Toughness] | None = None) -> _R
         _twok2_verdict(g),
         tau_of,
     )
+
+
+def _classified(
+    source: EnumerationSource | Graph6Source, malformed: list[str]
+) -> Iterator[_Record]:
+    """The record of every graph of the source, in source order; each
+    malformed line's message goes to ``malformed`` instead.  The sweep's
+    toughness memo is built here and lives as long as the stream."""
+    tau_of = _ToughnessMemo()
+    for g, err in source:
+        if g is None:
+            malformed.append(err or "malformed line")
+        else:
+            yield classify(g, tau_of)
 
 
 # -- report --------------------------------------------------------------------
@@ -298,15 +313,11 @@ def _suite_t12(rec: _Record) -> tuple[list[str], list[str]]:
     return [], []
 
 
-def _is_long_cycle(g: Graph) -> bool:
-    return g.n >= 4 and g.is_connected() and all(g.degree(v) == 2 for v in range(g.n))
-
-
 def _suite_t16(rec: _Record) -> tuple[list[str], list[str]]:
     if not (rec.clawfree and rec.connected):
         return [], []
     minimal_one = rec.t == ONE
-    cycle = _is_long_cycle(rec.g)
+    cycle = is_long_cycle(rec.g)
     if minimal_one != cycle:
         return [], [f"minimal-1-tough={minimal_one} cycle>=4={cycle}"]
     return ([f"t=1"], []) if minimal_one else ([], [])
@@ -443,59 +454,41 @@ def run_suites(
     suite_ids: Iterable[str],
     source: EnumerationSource | Graph6Source,
 ) -> list[VerificationReport]:
-    """Classify the source once and evaluate every requested suite on it."""
+    """Classify the source once and evaluate every requested suite on it;
+    one report per entry of ``suite_ids``, in order."""
     ids = list(suite_ids)
     for sid in ids:
         if sid not in SUITES:
             raise ValueError(f"unknown suite {sid!r}")
-    reports = {
-        sid: VerificationReport(
-            sid, source.description, report_only=sid in REPORT_ONLY_SUITES
-        )
-        for sid in ids
-    }
-    start = time.monotonic()
-    scanned = _evaluate(ids, source, reports)
-    elapsed = time.monotonic() - start
-    out = []
-    for sid in ids:
-        rep = reports[sid]
-        rep.scanned = scanned
-        rep.instances = _sort_records(rep.instances)
-        rep.violations = _sort_records(rep.violations)
-        rep.elapsed = elapsed
-        out.append(rep)
-    return out
-
-
-def _evaluate(
-    ids: list[str],
-    source: EnumerationSource | Graph6Source,
-    reports: dict[str, VerificationReport],
-) -> int:
-    """Classify each graph of the source once and add every suite's rows to
-    its report; returns the number of graphs.  The sweep's toughness memo
-    lives exactly as long as this call."""
-    tau_of = _ToughnessMemo()
+    rows: dict[str, tuple[list, list]] = {sid: ([], []) for sid in ids}
+    malformed: list[str] = []
     scanned = 0
-    for g, err in source:
-        if g is None:
-            for rep in reports.values():
-                rep.malformed.append(err or "malformed line")
-            continue
-        scanned += 1
-        rec = classify(g, tau_of)
+    start = time.monotonic()
+    for scanned, rec in enumerate(_classified(source, malformed), start=1):
         g6 = None
-        for sid in ids:
+        for sid, (instances, violations) in rows.items():
             inst, viol = SUITES[sid](rec)
             if inst or viol:
                 if g6 is None:
                     g6 = rec.g6
-                rep = reports[sid]
                 # a sweep repeats a few hundred distinct details across its rows
-                rep.instances += [(g6, sys.intern(d)) for d in inst]
-                rep.violations += [(g6, sys.intern(d)) for d in viol]
-    return scanned
+                instances += [(g6, sys.intern(d)) for d in inst]
+                violations += [(g6, sys.intern(d)) for d in viol]
+    elapsed = time.monotonic() - start
+    rec = None  # the last record holds the memo: let it go before sorting
+    return [
+        VerificationReport(
+            sid,
+            source.description,
+            scanned,
+            malformed,
+            _sort_records(rows[sid][0]),
+            _sort_records(rows[sid][1]),
+            elapsed,
+            sid in REPORT_ONLY_SUITES,
+        )
+        for sid in ids
+    ]
 
 
 def run_suite(
@@ -520,38 +513,25 @@ class ScanRow(NamedTuple):
         )
 
 
+_CLASSES = ("chordal", "split", "claw-free", "2k2-free")
+
+
 def scan_minimally_tough(
     source: EnumerationSource | Graph6Source,
 ) -> tuple[list[ScanRow], list[str]]:
     """Every minimally tough graph in the source, with class flags and the
     min-degree comparison.  Returns (rows, malformed line reports)."""
-    rows = []
-    malformed = []
-    tau_of = _ToughnessMemo()
-    for g, err in source:
-        if g is None:
-            malformed.append(err or "malformed line")
-            continue
-        rec = classify(g, tau_of)
-        if rec.t is None:
-            continue
-        classes = []
-        if rec.chordal:
-            classes.append("chordal")
-        if rec.split:
-            classes.append("split")
-        if rec.clawfree:
-            classes.append("claw-free")
-        if rec.twok2:
-            classes.append("2k2-free")
-        rows.append(
-            ScanRow(
-                rec.g6,
-                rec.t,
-                tuple(classes),
-                rec.g.min_degree(),
-                math.ceil(2 * rec.t),
-            )
+    malformed: list[str] = []
+    rows = [
+        ScanRow(
+            rec.g6,
+            rec.t,
+            tuple(compress(_CLASSES, (rec.chordal, rec.split, rec.clawfree, rec.twok2))),
+            rec.g.min_degree(),
+            math.ceil(2 * rec.t),
         )
+        for rec in _classified(source, malformed)
+        if rec.t is not None
+    ]
     rows.sort(key=lambda r: (len(r.g6), r.g6))
     return rows, malformed

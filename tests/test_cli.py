@@ -173,6 +173,16 @@ def test_verify_command_pass_and_fail():
     assert code == 2  # neither --enumerate nor --source
 
 
+@pytest.mark.parametrize("command", [["verify", "T16"], ["scan"]])
+def test_enumerate_and_source_are_exclusive(command, tmp_path, capsys):
+    # giving both used to drop --enumerate without a word
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("Cl\n")
+    code, out = run_cli(command + ["--enumerate", "4", "--source", str(corpus)])
+    assert code == 2 and out == ""
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_verify_from_file(tmp_path):
     corpus = tmp_path / "corpus.g6"
     corpus.write_text("Cl\nbad line!!\nBw\n")

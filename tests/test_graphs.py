@@ -71,7 +71,7 @@ def test_delete_edge_and_add_edges():
     c4 = zoo.cycle(4)
     p4 = c4.delete_edge(0, 3)
     assert p4.edges() == [(0, 1), (1, 2), (2, 3)]
-    assert p4.add_edges([(0, 3)]) == c4
+    assert Graph(4, p4.edges() + [(0, 3)]) == c4
     with pytest.raises(ValueError):
         c4.delete_edge(0, 2)
 
@@ -167,6 +167,16 @@ def test_edge_queries_reject_vertices_outside_the_graph(e):
         EdgeWitness(e, frozenset(), True, 1, 2, Fraction(0)),
     ):
         assert not witness.holds(c4, 1)
+
+
+@pytest.mark.parametrize("v", [-1, 4])
+def test_vertex_queries_reject_vertices_outside_the_graph(v):
+    # -1 used to answer with vertex 3's neighbourhood through negative indexing
+    c4 = zoo.cycle(4)
+    for call in (lambda: c4.degree(v), lambda: c4.neighbors(v)):
+        with pytest.raises(ValueError, match=f"vertex {v} outside 0..3"):
+            call()
+    assert c4.degree(3) == 2 and c4.neighbors(3) == (0, 2)
 
 
 def test_vertex_connectivity_examples():

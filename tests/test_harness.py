@@ -13,7 +13,7 @@ from toughkit import (
     scan_minimally_tough,
 )
 from toughkit import harness
-from toughkit.harness import SUITES, classify
+from toughkit.harness import SUITES, _ToughnessMemo, classify
 from toughkit.enumeration import enumerate_connected_graphs
 from toughkit.mintough import minimal_toughness_value
 
@@ -223,13 +223,13 @@ def test_scan_computes_each_toughness_once(monkeypatch):
 def test_classify_matches_minimal_toughness_value(max_n, dedup):
     for n in range(1, max_n + 1):
         for g in enumerate_connected_graphs(n, dedup=dedup):
-            assert classify(g).t == minimal_toughness_value(g), g
+            assert classify(g, _ToughnessMemo()).t == minimal_toughness_value(g), g
 
 
 def test_witness_suites_report_failed_searches_per_edge():
     # no sweep gives these rows: a record whose t is not tau(g) makes every
     # non-bridge edge's witness search fail
-    c4 = classify(zoo.cycle(4))
+    c4 = classify(zoo.cycle(4), _ToughnessMemo())
     edges = ("0-1", "0-3", "1-2", "2-3")
     assert SUITES["C1"](c4._replace(t=F(2))) == (["t=2"], [
         f"edge={e} witness re-validation failed for edge ({e[0]}, {e[2]}); "
@@ -243,10 +243,35 @@ def test_witness_suites_report_failed_searches_per_edge():
     ])
     # only S = {0, 1} separates edge 2-3: L14 names the set size
     hubs = classify(
-        Graph(7, [(0, 2), (2, 3), (3, 1)] + [(h, x) for h in (0, 1) for x in (4, 5, 6)])
+        Graph(7, [(0, 2), (2, 3), (3, 1)] + [(h, x) for h in (0, 1) for x in (4, 5, 6)]),
+        _ToughnessMemo(),
     )
     _, violations = SUITES["L14"](hubs._replace(clawfree=True, t=F(1, 2)))
     assert len(violations) == 9 and violations[-1] == (
         "edge=2-3 no single-vertex witness for edge (2, 3): "
         "graph is not minimally 1/2-tough claw-free"
     )
+
+
+@pytest.mark.parametrize("source", [
+    EnumerationSource(range(1, 6), mode="labeled"),
+    Graph6Source(
+        [encode_graph6(g) for g in (zoo.cycle(5), zoo.star(3), zoo.complete(4),
+                                    zoo.net(), zoo.cycle(5))]
+        + ["", "@@@bad@@@", "Cl", "C!", "Bw"],
+        "fixture",
+    ),
+], ids=["labeled-n<=5", "graph6-lines"])
+def test_scan_and_reports_read_one_stream(source, monkeypatch):
+    memos = []
+    real = harness._ToughnessMemo
+    monkeypatch.setattr(harness, "_ToughnessMemo", lambda: memos.append(1) or real())
+    rows, malformed = scan_minimally_tough(source)
+    reports = run_suites(list(SUITES), source)
+    # one memo per sweep, one malformed list for every report
+    assert len(memos) == 2
+    assert all(rep.malformed == malformed for rep in reports)
+    assert len(malformed) == (0 if isinstance(source, EnumerationSource) else 2)
+    # the scan keeps repeated lines, the reports list each graph once
+    c1 = reports[list(SUITES).index("C1")]
+    assert list(dict.fromkeys((r.g6, f"t={r.t}") for r in rows)) == c1.instances

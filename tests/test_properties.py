@@ -17,6 +17,10 @@ from hypothesis import strategies as st
 from toughkit import (
     Graph,
     edge_deletion_witness,
+    is_2k2_free,
+    is_chordal,
+    is_claw_free,
+    is_split,
     is_t_tough,
     minimal_toughness_value,
     naive_toughness_oracle,
@@ -127,6 +131,18 @@ def test_minimal_toughness_value_matches_definition(g):
     ):
         expected = tau.value
     assert minimal_toughness_value(g) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(10), st.data())
+def test_invariants_survive_relabeling(g, data):
+    # tau, the class verdicts and the minimal toughness value are graph
+    # invariants, whatever order the searches meet the vertices in
+    h = _relabeled(data.draw, g.n, g.edges())
+    assert toughness(h)[0] == toughness(g)[0]
+    for verdict in (is_chordal, is_split, is_claw_free, is_2k2_free):
+        assert verdict(h).verdict == verdict(g).verdict
+    assert minimal_toughness_value(h) == minimal_toughness_value(g)
 
 
 THRESHOLDS = st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
