@@ -181,10 +181,12 @@ def _cmd_generate(args, out) -> int:
 
 def _make_source(args):
     if args.source is not None:
+        if args.dedup is not None:
+            raise SystemExit2("--dedup applies only to --enumerate")
         text = _read_text(args.source)
         name = args.source if args.source != "-" else "stdin"
         return Graph6Source(text.splitlines(), f"file {name}", args.cap)
-    mode = {"auto": "auto", "always": "dedup", "never": "labeled"}[args.dedup]
+    mode = {"auto": "auto", "always": "dedup", "never": "labeled"}[args.dedup or "auto"]
     try:
         return EnumerationSource(range(1, args.enumerate + 1), mode=mode)
     except ValueError as exc:
@@ -279,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--dedup",
             choices=["auto", "always", "never"],
-            default="auto",
+            default=None,
             help="isomorphism dedup for the enumeration (default auto)",
         )
         p.set_defaults(func=_cmd_verify if name == "verify" else _cmd_scan)

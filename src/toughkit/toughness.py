@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from itertools import accumulate, combinations
-from typing import Callable, Iterable, Iterator, Sequence
+from math import comb
+from typing import Callable, Generator, Iterable, Iterator, Sequence
 
 from .graphs import (
     Graph,
@@ -177,6 +178,68 @@ def _alpha_sums(nbr: Sequence[int]) -> list[int]:
     return list(accumulate(alphas, initial=0))
 
 
+# From the first size with more subsets than this, ``_cutsets`` walks; see
+# its docstring for the measurement behind the value.
+_WALK_ABOVE = 200
+
+
+def _walk_tables(
+    nbr: Sequence[int], pool: Sequence[int]
+) -> tuple[int, list[int], list[list[int]]]:
+    """alpha(G), the degree of each pool entry, and ``tops``: tops[i][r] is
+    the sum of the r largest degrees among pool[i:]."""
+    degs = [nbr[v].bit_count() for v in pool]
+    tops = [[0]]
+    for i in range(len(pool) - 1, -1, -1):
+        tops.append(list(accumulate(sorted(degs[i:], reverse=True), initial=0)))
+    tops.reverse()
+    return _independence_number(nbr, (1 << len(nbr)) - 1), degs, tops
+
+
+def _walk(
+    nbr: Sequence[int],
+    pool: Sequence[int],
+    size: int,
+    bound: int,
+    least: int,
+    k: int,
+    degs: Sequence[int],
+    tops: Sequence[Sequence[int]],
+) -> Generator[tuple[tuple[int, ...], int], None, bool]:
+    """The cutsets of one size from ``pool`` leaving at least ``least``
+    components, in ``combinations`` order, by a depth-first walk that drops
+    a partial set P once no completion S can leave ``bound`` <= ``least``
+    of them: with r more vertices to add, deg(S) <= deg(P) + tops[i][r]
+    and e(S) >= e(P).  Returns whether it met a cutset."""
+    full = (1 << len(nbr)) - 1
+    m = len(pool)
+    # prune unless k * bound <= deg(S) - 2e(S) and bound <= deg(S) - e(S)
+    # - |S| + 1 can hold
+    cross, spare = k * bound, bound + size - 1
+    cut_seen = False
+
+    def extend(start, chosen, removed, deg, inner, left):
+        nonlocal cut_seen
+        for i in range(start, m - left):
+            v = pool[i]
+            d = deg + degs[i]
+            e = inner + (nbr[v] & removed).bit_count()
+            room = d + tops[i + 1][left]
+            if room - 2 * e < cross or room - e < spare:
+                continue
+            if left:
+                yield from extend(i + 1, chosen + (v,), removed | 1 << v, d, e, left - 1)
+                continue
+            omega = component_count(nbr, full ^ removed ^ 1 << v)
+            if omega >= 2:
+                cut_seen = True
+                if omega >= least:
+                    yield chosen + (v,), omega
+
+    yield from extend(0, (), 0, 0, 0, size - 1)
+    return cut_seen
+
+
 def _cutsets(
     nbr: Sequence[int], pool: Sequence[int], need: Callable[[int], int]
 ) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -189,16 +252,36 @@ def _cutsets(
     scan ends at the first size where it exceeds n - s, the most an s-set
     can leave, and skips a size where it exceeds A_s // k (see
     ``_alpha_sums``): every component of G - S has at least k neighbors in
-    S.  k starts at 1 and becomes s + 1 after a size s with no cutset in
-    the pool: for a larger cutset S from the pool and a component C of
-    G - S, any s-set between N(C) and S would be such a cutset.  The alpha
-    sums are built the first time a size needs more than two components,
-    the fewest any cutset leaves.
+    S.  k starts at 1 and becomes s + 1 after a size s shown to hold no
+    cutset in the pool: for a larger cutset S from the pool and a component
+    C of G - S, any s-set between N(C) and S would be such a cutset.  The
+    alpha sums are built the first time a size needs more than two
+    components, the fewest any cutset leaves.
+
+    From the first size with more than ``_WALK_ABOVE`` subsets on, every
+    size is scanned by ``_walk``, which drops partial sets with two bounds
+    that hold for every cutset S of a connected graph: k * c <= e(S, V-S) =
+    deg(S) - 2e(S), since each component sends at least k edges into S, and
+    c <= deg(S) - e(S) - |S| + 1, since contracting each component to a
+    vertex leaves a connected multigraph on |S| + c vertices with e(S) +
+    e(S, V-S) edges.  While every smaller size is known to hold no cutset
+    (k = s), the walk drops only sets that cannot leave two components, so
+    that a size without a cutset still raises k.  From that first size on
+    the scan also ends once the need exceeds alpha(G), as c(G - S) <=
+    alpha(G), and skips a size s where D_s - s + 1 falls short of it, D_s
+    the sum of the s largest pool degrees; alpha(G) and the degree tables
+    are built there.  Smaller sizes keep the plain loop.  Measured on this
+    engine, thresholds from 0 to 1,000 time alike on the 14-18 vertex
+    queries, where the walk halves the search time, but walking every size
+    slowed the labeled n <= 6 sweep by 16%: building the tables costs more
+    than the walk saves on small graphs.  At 200 every sweep scan (n <= 8,
+    at most 70 subsets a size) and n = 9 keep the loop.
     """
     n = len(nbr)
     full = (1 << n) - 1
     k = 1
     alpha_sums = None
+    tables = None
     for size in range(1, len(pool) + 1):
         least = max(need(size), 2)
         if least > n - size:
@@ -208,6 +291,19 @@ def _cutsets(
                 alpha_sums = _alpha_sums(nbr)
             if alpha_sums[size] // k < least:
                 continue
+        if tables is None and comb(len(pool), size) > _WALK_ABOVE:
+            tables = _walk_tables(nbr, pool)
+        if tables is not None:
+            alpha, degs, tops = tables
+            if least > alpha:
+                return
+            if tops[0][size] - size + 1 < least:
+                continue
+            bound = 2 if k == size else least
+            cut_seen = yield from _walk(nbr, pool, size, bound, least, k, degs, tops)
+            if not cut_seen and bound == 2:
+                k = size + 1
+            continue
         cut_seen = False
         for combo in combinations(pool, size):
             removed = 0

@@ -183,6 +183,17 @@ def test_enumerate_and_source_are_exclusive(command, tmp_path, capsys):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["verify", "all"], ["scan"]])
+@pytest.mark.parametrize("mode", ["auto", "always", "never"])
+def test_dedup_is_rejected_with_source(command, mode, tmp_path, capsys):
+    # the flag used to be ignored on a graph6 corpus without a word
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("Cl\nCl\n")
+    code, out = run_cli(command + ["--source", str(corpus), "--dedup", mode])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "toughkit: --dedup applies only to --enumerate\n"
+
+
 def test_verify_from_file(tmp_path):
     corpus = tmp_path / "corpus.g6"
     corpus.write_text("Cl\nbad line!!\nBw\n")

@@ -4,14 +4,17 @@ The graphs are sparse or structured (trees with a few chords, circulants
 C_n(a, b)) under random vertex relabelings: the inputs on which the
 kappa/alpha cutoffs of the searches fire.  The brute-force references scan
 every vertex subset with their own component count; for the per-edge
-witness searches, every subset of the search's pool in G - e.
+witness searches, every subset of the search's pool in G - e.  The
+cutset scan's depth-first walk is compared with the plain per-size scan,
+kept here as ``_combinations_cutsets``, on graphs of 11-16 vertices, G(n,p)
+among them, where the walk runs.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toughkit import (
@@ -26,7 +29,12 @@ from toughkit import (
     naive_toughness_oracle,
     toughness,
     twok2_neighborhood_witness,
+    vertex_connectivity,
 )
+from toughkit.enumeration import _labeled_graphs
+from toughkit.graphs import component_count
+from toughkit.toughness import _alpha_sums
+from toughkit.toughness import _cutsets as _cutsets_under_test
 
 
 def _relabeled(draw, n, edges):
@@ -35,8 +43,8 @@ def _relabeled(draw, n, edges):
 
 
 @st.composite
-def trees_with_chords(draw, max_n):
-    n = draw(st.integers(2, max_n))
+def trees_with_chords(draw, max_n, min_n=2):
+    n = draw(st.integers(min_n, max_n))
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     chords = st.sampled_from(list(combinations(range(n), 2)))
     edges |= set(draw(st.lists(chords, max_size=3)))
@@ -44,8 +52,8 @@ def trees_with_chords(draw, max_n):
 
 
 @st.composite
-def circulants(draw, max_n):
-    n = draw(st.integers(4, max_n))
+def circulants(draw, max_n, min_n=4):
+    n = draw(st.integers(min_n, max_n))
     a = draw(st.integers(1, n // 2))
     b = draw(st.integers(1, n // 2))
     edges = {tuple(sorted((i, (i + d) % n))) for i in range(n) for d in (a, b)}
@@ -208,3 +216,129 @@ def test_neighborhood_search_keeps_its_component_bound():
     t = Fraction(3, 2)
     _check_edge_search(twok2_neighborhood_witness, g, t, (0, 4), [1, 3, 5, 6])
     assert twok2_neighborhood_witness(g, t, (0, 4)).vertices == {1, 3, 5, 6}
+
+
+def _combinations_cutsets(nbr, pool, need):
+    """The cutset scan as it stood before the pruned walk: every subset of a
+    size it does not skip is counted.  The reference for ``_cutsets``."""
+    n = len(nbr)
+    full = (1 << n) - 1
+    k = 1
+    alpha_sums = None
+    for size in range(1, len(pool) + 1):
+        least = max(need(size), 2)
+        if least > n - size:
+            return
+        if least > 2:
+            if alpha_sums is None:
+                alpha_sums = _alpha_sums(nbr)
+            if alpha_sums[size] // k < least:
+                continue
+        cut_seen = False
+        for combo in combinations(pool, size):
+            removed = 0
+            for v in combo:
+                removed |= 1 << v
+            omega = component_count(nbr, full ^ removed)
+            if omega >= 2:
+                cut_seen = True
+                if omega >= least:
+                    yield combo, omega
+        if not cut_seen:
+            k = size + 1
+
+
+def _driven(scan, nbr, pool, caller, t):
+    """Every (S, c) that ``scan`` yields to a caller asking for components
+    as ``toughness``, ``is_t_tough`` or the first-violating-set search does,
+    with the callers' incumbents updated after each yield."""
+    p, q = t.numerator, t.denominator
+    best = [len(nbr), 1, 0]  # toughness's ratio num/den, is_t_tough's score
+    need = {
+        "toughness": lambda size: size * best[1] // best[0] + 1,
+        "is_t_tough": lambda size: (best[2] + q * size) // p + 1,
+        "first": lambda size: q * size // p + 1,
+    }[caller]
+    seen = []
+    for combo, omega in scan(nbr, pool, need):
+        seen.append((combo, omega))
+        if len(combo) * best[1] < best[0] * omega:
+            best[:2] = len(combo), omega
+        best[2] = max(best[2], p * omega - q * len(combo))
+    return seen
+
+
+@st.composite
+def gnp(draw, min_n, max_n):
+    n = draw(st.integers(min_n, max_n))
+    p = draw(st.sampled_from([0.2, 0.3, 0.4, 0.5]))
+    edges = [e for e in combinations(range(n), 2) if draw(st.floats(0, 1)) < p]
+    return Graph(n, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(circulants(16, 11), trees_with_chords(16, 11), gnp(11, 16)),
+    st.sampled_from(["toughness", "is_t_tough", "first"]),
+    THRESHOLDS,
+    st.data(),
+)
+def test_walk_yields_the_combinations_scan(g, caller, t, data):
+    # graphs of 11-16 vertices, so that the sizes past the walk's subset
+    # threshold take the pruned walk; the pools are every vertex, or, in
+    # G - e, every vertex but e's ends or the ends' neighbourhood
+    assume(g.is_connected() and not g.is_complete())
+    u, v = data.draw(st.sampled_from(g.edges()))
+    minus = g.delete_edge(u, v)
+    runs = [(g, range(g.n))]
+    if minus.is_connected():
+        hood = sorted((set(g.neighbors(u)) | set(g.neighbors(v))) - {u, v})
+        runs += [(minus, [x for x in range(g.n) if x not in (u, v)]), (minus, hood)]
+    for h, pool in runs:
+        assert _driven(_cutsets_under_test, h._nbr, pool, caller, t) == _driven(
+            _combinations_cutsets, h._nbr, pool, caller, t
+        )
+
+
+def _alpha_by_brute_force(g):
+    return max(
+        size
+        for size in range(g.n + 1)
+        for vs in combinations(range(g.n), size)
+        if not any(g.has_edge(a, b) for a, b in combinations(vs, 2))
+    )
+
+
+def test_walk_bounds_hold_on_every_connected_graph_up_to_5():
+    # for every cutset S: kappa * c <= deg(S) - 2e(S), c <= deg(S) - e(S)
+    # - |S| + 1 and c <= alpha(G)
+    for n in range(3, 6):
+        for g in _labeled_graphs(n, connected_only=True):
+            if g.is_complete():
+                continue
+            kappa = vertex_connectivity(g).value
+            alpha = _alpha_by_brute_force(g)
+            for vs, c in _cutsets(g):
+                deg = sum(g.degree(v) for v in vs)
+                inner = sum(g.has_edge(a, b) for a, b in combinations(vs, 2))
+                assert kappa * c <= deg - 2 * inner
+                assert c <= deg - inner - len(vs) + 1
+                assert c <= alpha
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(graphs(12), gnp(4, 12)), THRESHOLDS, st.data())
+def test_returned_witnesses_revalidate(g, t, data):
+    # every WitnessSet of toughness and is_t_tough rebuilds from the graph,
+    # and every EdgeWitness of the two per-edge searches holds
+    for _, w in (toughness(g), is_t_tough(g, t)):
+        assert w is None or w.revalidate(g)
+    if not g.is_connected() or not g.edges():
+        return
+    e = data.draw(st.sampled_from(g.edges()))
+    for search in (edge_deletion_witness, twok2_neighborhood_witness):
+        try:
+            w = search(g, t, e)
+        except RuntimeError:
+            continue  # no set at this t, or the set fails the conditions
+        assert w.holds(g, t)

@@ -280,6 +280,36 @@ def test_kappa_alpha_cutoff_work_at_vertex_cap(monkeypatch, g, tau, witness):
     assert value == tau and w.vertices == frozenset(witness)
 
 
+@pytest.mark.parametrize(
+    "g, t, value, witness, budget",
+    [
+        # the full per-size scan made 155,382, 106,762 and 155,382 counts
+        (zoo.circulant(18, (1, 3)), None, F(1), range(0, 18, 2), 41_304),
+        (zoo.path(18), F(2), False, range(1, 17, 2), 2_634),
+        (zoo.cycle(18), F(3, 2), False, range(0, 18, 2), 5_796),
+    ],
+)
+def test_partial_set_pruning_work_on_18_vertices(monkeypatch, g, t, value, witness, budget):
+    # the walk drops partial sets no completion of which leaves enough
+    # components; each budget is the count it makes, at most a third of the
+    # full scan's, and the counter raises past it
+    module = importlib.import_module("toughkit.toughness")
+    calls = 0
+    count = module.component_count
+
+    def counted(nbr, pool):
+        nonlocal calls
+        calls += 1
+        assert calls <= budget, "cutset scan ran past its component-count budget"
+        return count(nbr, pool)
+
+    monkeypatch.setattr(module, "component_count", counted)
+    result, w = toughness(g) if t is None else is_t_tough(g, t)
+    assert result == value and w.vertices == frozenset(witness)
+    monkeypatch.undo()
+    assert w.revalidate(g)
+
+
 def test_validate_tough_set():
     ok, problems = validate_tough_set(zoo.cycle(5), [0, 2], 1)
     assert ok and not problems
