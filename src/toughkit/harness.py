@@ -352,8 +352,8 @@ def _suite_c18(rec: _Record) -> tuple[list[str], list[str]]:
 
 def _witness_failures(rec: _Record, witness: Callable[..., object], *args) -> list[str]:
     """``edge=u-v <reason>`` for each non-bridge edge e whose
-    ``witness(g, *args, e)`` raises RuntimeError; a returned witness has
-    already been re-checked."""
+    ``witness(g, *args, e)`` raises RuntimeError; a returned witness was
+    built by ``mintough._edge_witness``, which checks the rule."""
     violations = []
     for e in rec.g.edges():
         if e not in rec.bridges:

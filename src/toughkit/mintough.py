@@ -7,8 +7,10 @@ c(G-S) <= |S|/t and c((G-e)-S) > |S|/t, making e a bridge of G-S.  One
 search finds it, drawing S from every vertex (``edge_deletion_witness``)
 or from the endpoints' neighborhood (``twok2_neighborhood_witness``); the
 claw-free witness is its size-one case at t = 1/2.  It returns the
-smallest set, ties broken by lexicographically least vertex tuple, and
-every returned witness is re-checked from scratch before it is handed back.
+smallest set, ties broken by lexicographically least vertex tuple.  Every
+witness, found by a search or given by a formula, is built by
+``_edge_witness``, the one place that states the rule and counts the
+components; ``EdgeWitness.holds`` checks a witness by rebuilding it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .graphs import Graph, component_count, mask_to_tuple, set_to_mask, set_to_str
-from .toughness import Toughness, _cutsets, toughness
+from .toughness import Toughness, _checked_set, _cutsets, toughness
 
 
 @dataclass(frozen=True)
@@ -39,28 +41,14 @@ class EdgeWitness:
     bound: Fraction
 
     def holds(self, g: Graph, t: Fraction | int) -> bool:
-        """Re-evaluate the witness conditions against the graph.  A bridge
-        witness is checked by the bridge test alone, whatever its two
-        component counts hold."""
-        t = Fraction(t)
-        u, v = self.edge
-        if not g.has_edge(u, v):
+        """Does ``_edge_witness`` rebuild exactly this witness from the
+        graph?  A bridge witness is checked by the bridge test alone,
+        whatever its two component counts hold."""
+        try:
+            w = _edge_witness(g, t, self.edge, self.vertices)
+        except ValueError:
             return False
-        removed = set_to_mask(self.vertices)
-        if removed & (1 << u | 1 << v):
-            return False
-        before, after = _counts_around(g, self.edge, removed)
-        if self.bridge_case:
-            return not self.vertices and after > before
-        bound = Fraction(len(self.vertices), 1) / t
-        return (
-            before == self.omega_before
-            and after == self.omega_after
-            and self.bound == bound
-            and before <= bound
-            and after > bound
-            and after == before + 1
-        )
+        return w.bridge_case if self.bridge_case else w == self
 
     def __str__(self) -> str:
         u, v = self.edge
@@ -73,14 +61,32 @@ class EdgeWitness:
         )
 
 
-def _counts_around(g: Graph, e: tuple[int, int], removed: int) -> tuple[int, int]:
-    """c(G-S) and c((G-e)-S) for the vertex set S given as a mask.  With S
-    empty, e is a bridge exactly when the second count is larger."""
-    pool = ((1 << g.n) - 1) & ~removed
-    return (
-        component_count(g._nbr, pool),
-        component_count(g.delete_edge(*e)._nbr, pool),
-    )
+def _edge_witness(
+    g: Graph, t: Fraction | int, e: tuple[int, int], vertices: Iterable[int]
+) -> EdgeWitness:
+    """The witness that S = ``vertices`` gives edge e at t, with its counts
+    taken from the graph.  ValueError unless t > 0, e is an edge, S lies in
+    0..n-1 and misses both ends of e, and either S is empty and e is a
+    bridge or c(G-S) <= |S|/t < c((G-e)-S) = c(G-S) + 1."""
+    t = Fraction(t)
+    if t <= 0:
+        raise ValueError("t must be positive")
+    _checked_edge(g, e)
+    u, v = e
+    vs = _checked_set(g, vertices)
+    if u in vs or v in vs:
+        raise ValueError(f"{sorted(vs)} holds an end of the edge ({u},{v})")
+    pool = ((1 << g.n) - 1) ^ set_to_mask(vs)
+    before = component_count(g._nbr, pool)
+    after = component_count(g.delete_edge(u, v)._nbr, pool)
+    if not vs:
+        if after > before:
+            return EdgeWitness(e, vs, True, before, after, Fraction(0))
+        raise ValueError(f"({u},{v}) is not a bridge")
+    bound = len(vs) / t
+    if not before <= bound < after == before + 1:
+        raise ValueError(f"{sorted(vs)} does not separate the edge ({u},{v}) at t = {t}")
+    return EdgeWitness(e, vs, False, before, after, bound)
 
 
 def _first_violating_cutset(
@@ -131,23 +137,13 @@ def minimal_toughness_value(g: Graph, tau: Toughness | None = None) -> Fraction 
 def _build_witness(
     g: Graph, e: tuple[int, int], t: Fraction, combo: tuple[int, ...]
 ) -> EdgeWitness:
-    before, after = _counts_around(g, e, set_to_mask(combo))
-    bound = Fraction(len(combo), 1) / t
-    w = EdgeWitness(e, frozenset(combo), False, before, after, bound)
-    if not w.holds(g, t):
+    try:
+        return _edge_witness(g, t, e, combo)
+    except ValueError:
         raise RuntimeError(
             f"witness re-validation failed for edge {e}; "
             "is the graph really minimally tough?"
-        )
-    return w
-
-
-def _bridge_witness(g: Graph, e: tuple[int, int]) -> EdgeWitness | None:
-    """The empty-set witness when e is a bridge of g, else None."""
-    before, after = _counts_around(g, e, 0)
-    if after > before:
-        return EdgeWitness(e, frozenset(), True, before, after, Fraction(0))
-    return None
+        ) from None
 
 
 def _checked_edge(g: Graph, e: tuple[int, int]) -> tuple[int, int]:
@@ -174,10 +170,10 @@ def _witness_search(
     e = _checked_edge(g, e)
     if not g.is_connected():
         raise ValueError("graph is disconnected")
-    w = _bridge_witness(g, e)
-    if w is not None:
-        return w
-    combo = _first_violating_cutset(g.delete_edge(*e)._nbr, t, pool(*e))
+    minus = g.delete_edge(*e)._nbr
+    if component_count(minus, (1 << g.n) - 1) > 1:  # e is a bridge
+        return _build_witness(g, e, t, ())
+    combo = _first_violating_cutset(minus, t, pool(*e))
     if combo is None:
         raise RuntimeError(missing.format(e=e, t=t))
     return _build_witness(g, e, t, combo)
@@ -187,9 +183,10 @@ def edge_deletion_witness(g: Graph, t: Fraction | int, e: tuple[int, int]) -> Ed
     """Witness set for one edge of a minimally t-tough graph.
 
     Bridges short-circuit to the empty set.  Otherwise the smallest cutset
-    of G-e whose component count beats |S|/t is returned, after re-checking
-    all of its properties exactly.  A disconnected graph, which is not
-    minimally t-tough for any t, raises ValueError.
+    of G-e whose component count beats |S|/t is returned, built by
+    ``_edge_witness``, which checks all of its properties exactly.  A
+    disconnected graph, which is not minimally t-tough for any t, raises
+    ValueError.
     """
     return _witness_search(
         g, t, e, lambda u, v: range(g.n),
@@ -210,6 +207,8 @@ def split_clique_edge_witness(
     (C minus {u, v}) union {w in I adjacent to both u and v}.
     An empty set means e is a bridge.
     """
+    if t is not None and Fraction(t) <= 0:
+        raise ValueError("t must be positive")
     C = frozenset(partition[0])
     I = frozenset(partition[1])
     u, v = e
@@ -224,10 +223,10 @@ def split_clique_edge_witness(
         raise ValueError("independent side is not independent")
     s = (C - {u, v}) | {w for w in I if g.has_edge(u, w) and g.has_edge(v, w)}
     if not s:
-        w = _bridge_witness(g, e)
-        if w is None:
-            raise RuntimeError(f"formula set empty but edge {e} is not a bridge")
-        return w
+        try:
+            return _edge_witness(g, 1, e, ())  # a bridge witness holds at any t
+        except ValueError:
+            raise RuntimeError(f"formula set empty but edge {e} is not a bridge") from None
     if t is None:
         tau, _ = toughness(g)
         if not tau.is_finite:

@@ -202,13 +202,17 @@ def is_split(g: Graph) -> ClassCertificate:
 
 
 def _clawfree_verdict(g: Graph) -> bool:
-    for v in range(g.n):
-        nb = g.neighbors(v)
-        if len(nb) < 3:
+    # a claw at v with least leaf a exists iff the vertices of N(v) - N[a]
+    # above a do not form a clique
+    nbr = g._nbr
+    for nv in nbr:
+        if nv.bit_count() < 3:
             continue
-        for a, b, c in combinations(nb, 3):
-            if not (g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c)):
-                return False
+        for a in mask_to_tuple(nv):
+            rest = nv & ~nbr[a] & (-2 << a)
+            for x in mask_to_tuple(rest):
+                if rest & ~nbr[x] & ~(1 << x):
+                    return False
     return True
 
 
@@ -230,16 +234,12 @@ def is_claw_free(g: Graph) -> ClassCertificate:
 
 
 def _twok2_verdict(g: Graph) -> bool:
-    edges = g.edges()
-    for (a, b), (c, d) in combinations(edges, 2):
-        if c in (a, b) or d in (a, b):
-            continue
-        if not (
-            g.has_edge(a, c)
-            or g.has_edge(a, d)
-            or g.has_edge(b, c)
-            or g.has_edge(b, d)
-        ):
+    # an edge ab lies in an induced 2K2 iff V - N[a] - N[b] spans an edge
+    nbr = g._nbr
+    full = (1 << g.n) - 1
+    for a, b in g.edges():
+        rest = full & ~(nbr[a] | nbr[b])
+        if any(nbr[x] & rest for x in mask_to_tuple(rest)):
             return False
     return True
 

@@ -131,12 +131,18 @@ class WitnessSet:
         return set_to_str(self.vertices)
 
 
-def witness_for(g: Graph, vertices: Iterable[int]) -> WitnessSet:
-    """Build the WitnessSet for an explicit cutset (errors if not a cutset,
-    or if a vertex lies outside the graph)."""
+def _checked_set(g: Graph, vertices: Iterable[int]) -> frozenset[int]:
+    """The vertices as a set; ValueError if one lies outside 0..n-1."""
     vs = frozenset(vertices)
     if any(not 0 <= v < g.n for v in vs):
         raise ValueError(f"{sorted(vs)} has a vertex outside 0..{g.n - 1}")
+    return vs
+
+
+def witness_for(g: Graph, vertices: Iterable[int]) -> WitnessSet:
+    """Build the WitnessSet for an explicit cutset (errors if not a cutset,
+    or if a vertex lies outside the graph)."""
+    vs = _checked_set(g, vertices)
     full = (1 << g.n) - 1
     omega = component_count(g._nbr, full ^ set_to_mask(vs))
     if omega < 2:
@@ -183,19 +189,6 @@ def _alpha_sums(nbr: Sequence[int]) -> list[int]:
 _WALK_ABOVE = 200
 
 
-def _walk_tables(
-    nbr: Sequence[int], pool: Sequence[int]
-) -> tuple[int, list[int], list[list[int]]]:
-    """alpha(G), the degree of each pool entry, and ``tops``: tops[i][r] is
-    the sum of the r largest degrees among pool[i:]."""
-    degs = [nbr[v].bit_count() for v in pool]
-    tops = [[0]]
-    for i in range(len(pool) - 1, -1, -1):
-        tops.append(list(accumulate(sorted(degs[i:], reverse=True), initial=0)))
-    tops.reverse()
-    return _independence_number(nbr, (1 << len(nbr)) - 1), degs, tops
-
-
 def _walk(
     nbr: Sequence[int],
     pool: Sequence[int],
@@ -204,13 +197,14 @@ def _walk(
     least: int,
     k: int,
     degs: Sequence[int],
-    tops: Sequence[Sequence[int]],
+    top: Sequence[int],
 ) -> Generator[tuple[tuple[int, ...], int], None, bool]:
     """The cutsets of one size from ``pool`` leaving at least ``least``
     components, in ``combinations`` order, by a depth-first walk that drops
     a partial set P once no completion S can leave ``bound`` <= ``least``
-    of them: with r more vertices to add, deg(S) <= deg(P) + tops[i][r]
-    and e(S) >= e(P).  Returns whether it met a cutset."""
+    of them: with r more vertices to add, deg(S) <= deg(P) + top[r], the
+    sum of the r largest pool degrees, and e(S) >= e(P).  Returns whether
+    it met a cutset."""
     full = (1 << len(nbr)) - 1
     m = len(pool)
     # prune unless k * bound <= deg(S) - 2e(S) and bound <= deg(S) - e(S)
@@ -224,7 +218,7 @@ def _walk(
             v = pool[i]
             d = deg + degs[i]
             e = inner + (nbr[v] & removed).bit_count()
-            room = d + tops[i + 1][left]
+            room = d + top[left]
             if room - 2 * e < cross or room - e < spare:
                 continue
             if left:
@@ -269,19 +263,21 @@ def _cutsets(
     that a size without a cutset still raises k.  From that first size on
     the scan also ends once the need exceeds alpha(G), as c(G - S) <=
     alpha(G), and skips a size s where D_s - s + 1 falls short of it, D_s
-    the sum of the s largest pool degrees; alpha(G) and the degree tables
-    are built there.  Smaller sizes keep the plain loop.  Measured on this
-    engine, thresholds from 0 to 1,000 time alike on the 14-18 vertex
-    queries, where the walk halves the search time, but walking every size
-    slowed the labeled n <= 6 sweep by 16%: building the tables costs more
-    than the walk saves on small graphs.  At 200 every sweep scan (n <= 8,
-    at most 70 subsets a size) and n = 9 keep the loop.
+    the sum of the s largest pool degrees.  alpha(G), the pool degrees and
+    the prefix sums D of their descending order are built there; the walk
+    bounds the degree sum of the r vertices still to add by D_r.  Smaller
+    sizes keep the plain loop.  Measured on this engine, thresholds from 0
+    to 1,000 time alike on the 14-18 vertex queries, where the walk halves
+    the search time, but walking every size slowed the labeled n <= 6
+    sweep by about 10%: building alpha(G) costs more than the walk saves on
+    small graphs.  At 200 every sweep scan (n <= 8, at most 70 subsets a
+    size) and n = 9 keep the loop.
     """
     n = len(nbr)
     full = (1 << n) - 1
     k = 1
     alpha_sums = None
-    tables = None
+    alpha = None  # alpha(G), once the scan walks
     for size in range(1, len(pool) + 1):
         least = max(need(size), 2)
         if least > n - size:
@@ -291,16 +287,17 @@ def _cutsets(
                 alpha_sums = _alpha_sums(nbr)
             if alpha_sums[size] // k < least:
                 continue
-        if tables is None and comb(len(pool), size) > _WALK_ABOVE:
-            tables = _walk_tables(nbr, pool)
-        if tables is not None:
-            alpha, degs, tops = tables
+        if alpha is None and comb(len(pool), size) > _WALK_ABOVE:
+            alpha = _independence_number(nbr, full)
+            degs = [nbr[v].bit_count() for v in pool]
+            top = list(accumulate(sorted(degs, reverse=True), initial=0))
+        if alpha is not None:
             if least > alpha:
                 return
-            if tops[0][size] - size + 1 < least:
+            if top[size] - size + 1 < least:
                 continue
             bound = 2 if k == size else least
-            cut_seen = yield from _walk(nbr, pool, size, bound, least, k, degs, tops)
+            cut_seen = yield from _walk(nbr, pool, size, bound, least, k, degs, top)
             if not cut_seen and bound == 2:
                 k = size + 1
             continue
@@ -440,13 +437,10 @@ def validate_tough_set(
     t = Fraction(t)
     if t <= 0:
         raise ValueError("t must be positive")
-    if isinstance(s, WitnessSet):
-        vs = s.vertices
-    else:
-        vs = frozenset(s)
+    vs = _checked_set(g, s.vertices if isinstance(s, WitnessSet) else s)
     full = (1 << g.n) - 1
     removed = set_to_mask(vs)
-    comp_masks = component_masks(g._nbr, full & ~removed)
+    comp_masks = component_masks(g._nbr, full ^ removed)
     if len(comp_masks) < 2:
         raise ValueError(f"{sorted(vs)} is not a cutset")
     problems: list[str] = []

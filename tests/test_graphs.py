@@ -169,6 +169,16 @@ def test_edge_queries_reject_vertices_outside_the_graph(e):
         assert not witness.holds(c4, 1)
 
 
+def test_edge_witness_holds_rejects_a_missing_vertex_and_t_zero():
+    # vertex 9 is not in the bowtie; the set used to pass on its vertex 4
+    w = EdgeWitness((0, 1), frozenset({4, 9}), False, 2, 3, Fraction(2))
+    assert not w.holds(zoo.bowtie(), 1)
+    # t = 0 used to divide by zero
+    c5 = zoo.cycle(5)
+    w = edge_deletion_witness(c5, 1, (0, 1))
+    assert w.holds(c5, 1) and not w.holds(c5, 0)
+
+
 @pytest.mark.parametrize("v", [-1, 4])
 def test_vertex_queries_reject_vertices_outside_the_graph(v):
     # -1 used to answer with vertex 3's neighbourhood through negative indexing

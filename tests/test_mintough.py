@@ -141,6 +141,10 @@ def test_split_clique_edge_witness_validation():
         split_clique_edge_witness(zoo.net(), ({0, 1, 2}, {3, 4, 5}), (0, 3))
     with pytest.raises(ValueError):
         split_clique_edge_witness(zoo.net(), ({0, 1}, {2, 3, 4, 5}), (0, 1))
+    # t = 0 used to divide by zero, t = -1 to blame the graph's minimality
+    for t in (0, -1):
+        with pytest.raises(ValueError, match="t must be positive"):
+            split_clique_edge_witness(zoo.net(), ({0, 1, 2}, {3, 4, 5}), (0, 1), t)
 
 
 def test_split_formula_matches_claim_on_all_small_split_graphs():

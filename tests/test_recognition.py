@@ -186,6 +186,28 @@ def test_clawfree_witness_is_induced_claw():
             assert degs == [1, 1, 1, 3]
 
 
+def _induced_degree_sequences(g):
+    """Sorted induced degrees of every 4-vertex subset, by a scan that
+    shares nothing with the recognizers."""
+    adj = [[0] * g.n for _ in range(g.n)]
+    for u, v in g.edges():
+        adj[u][v] = adj[v][u] = 1
+    return {
+        tuple(sorted(sum(adj[v][u] for u in vs) for v in vs))
+        for vs in combinations(range(g.n), 4)
+    }
+
+
+def test_mask_verdicts_match_a_4_subset_scan():
+    # both directions on every labeled graph with n <= 6, disconnected ones
+    # included: a wrong True is caught as well as a wrong False
+    for n in range(1, 7):
+        for g in _labeled_graphs(n, connected_only=False):
+            seqs = _induced_degree_sequences(g)
+            assert _clawfree_verdict(g) == ((1, 1, 1, 3) not in seqs), g
+            assert _twok2_verdict(g) == ((1, 1, 1, 1) not in seqs), g
+
+
 def test_2k2_examples():
     cert = is_2k2_free(zoo.path(5))
     assert not cert.verdict and cert.witness == (0, 1, 3, 4)

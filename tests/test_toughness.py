@@ -323,3 +323,8 @@ def test_validate_tough_set():
     # a non-minimizing cutset of C6 fails the neighbor-count conditions
     ok, problems = validate_tough_set(zoo.cycle(6), [0, 2, 4], F(3, 2))
     assert not ok
+    # vertices outside the graph: 9 used to raise IndexError, -1 "negative
+    # shift count"
+    for s in ([0, 2, 9], [0, 2, -1]):
+        with pytest.raises(ValueError, match=r"has a vertex outside 0\.\.4"):
+            validate_tough_set(zoo.cycle(5), s, 1)
