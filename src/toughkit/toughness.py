@@ -201,28 +201,64 @@ def _walk(
 ) -> Generator[tuple[tuple[int, ...], int], None, bool]:
     """The cutsets of one size from ``pool`` leaving at least ``least``
     components, in ``combinations`` order, by a depth-first walk that drops
-    a partial set P once no completion S can leave ``bound`` <= ``least``
-    of them: with r more vertices to add, deg(S) <= deg(P) + top[r], the
-    sum of the r largest pool degrees, and e(S) >= e(P).  Returns whether
-    it met a cutset."""
+    a partial set P, whose last vertex is pool[i], once no completion S can
+    leave ``bound`` <= ``least`` of them.  Two bounds use degrees: with r
+    more vertices to add, deg(S) <= deg(P) + top[r], the sum of the r
+    largest pool degrees, and e(S) >= e(P).  The third uses the vertices P
+    keeps for sure: K, the vertices outside the pool and the pool vertices
+    before i that P passed over, and L, the pool vertices after i.  A
+    component of G - S either holds a vertex of K, and adding vertices to K
+    only merges its components, so at most c(G[K]) do, or lies in L \\ N(K);
+    so c(G - S) <= c(G[K]) + |L \\ N(K)|.  The walk keeps the components of
+    G[K] and N(K) as it passes vertices over, and the bound with pool[i]
+    counted in L never grows with i, so once it falls short the rest of the
+    loop goes.  Returns whether it met a cutset."""
     full = (1 << len(nbr)) - 1
     m = len(pool)
     # prune unless k * bound <= deg(S) - 2e(S) and bound <= deg(S) - e(S)
     # - |S| + 1 can hold
     cross, spare = k * bound, bound + size - 1
+    after = [0] * m  # after[i]: the pool vertices past index i
+    for i in range(m - 1, 0, -1):
+        after[i - 1] = after[i] | 1 << pool[i]
+    outside = full ^ (after[0] | 1 << pool[0])
+    reach0 = 0
+    for u in mask_to_tuple(outside):
+        reach0 |= nbr[u]
     cut_seen = False
 
-    def extend(start, chosen, removed, deg, inner, left):
+    def extend(start, chosen, removed, deg, inner, left, kept, reach):
+        # kept: the component masks of G[K]; reach: N(K)
         nonlocal cut_seen
         for i in range(start, m - left):
+            if i > start:  # pool[i - 1] was passed over and joins K
+                u = pool[i - 1]
+                b = 1 << u
+                nu = nbr[u]
+                merged, rest = b, []
+                for comp in kept:
+                    if comp & nu:
+                        merged |= comp
+                    else:
+                        rest.append(comp)
+                rest.append(merged)
+                kept = rest
+                reach |= nu
             v = pool[i]
+            most = len(kept) + (after[i] & ~reach).bit_count()
+            if most < bound:
+                if most + (not reach >> v & 1) < bound:
+                    return
+                continue
             d = deg + degs[i]
             e = inner + (nbr[v] & removed).bit_count()
             room = d + top[left]
             if room - 2 * e < cross or room - e < spare:
                 continue
             if left:
-                yield from extend(i + 1, chosen + (v,), removed | 1 << v, d, e, left - 1)
+                yield from extend(
+                    i + 1, chosen + (v,), removed | 1 << v, d, e, left - 1, kept, reach
+                )
                 continue
             omega = component_count(nbr, full ^ removed ^ 1 << v)
             if omega >= 2:
@@ -230,7 +266,7 @@ def _walk(
                 if omega >= least:
                     yield chosen + (v,), omega
 
-    yield from extend(0, (), 0, 0, 0, size - 1)
+    yield from extend(0, (), 0, 0, 0, size - 1, component_masks(nbr, outside), reach0)
     return cut_seen
 
 
@@ -253,12 +289,16 @@ def _cutsets(
     components, the fewest any cutset leaves.
 
     From the first size with more than ``_WALK_ABOVE`` subsets on, every
-    size is scanned by ``_walk``, which drops partial sets with two bounds
+    size is scanned by ``_walk``, which drops partial sets with three bounds
     that hold for every cutset S of a connected graph: k * c <= e(S, V-S) =
-    deg(S) - 2e(S), since each component sends at least k edges into S, and
+    deg(S) - 2e(S), since each component sends at least k edges into S;
     c <= deg(S) - e(S) - |S| + 1, since contracting each component to a
     vertex leaves a connected multigraph on |S| + c vertices with e(S) +
-    e(S, V-S) edges.  While every smaller size is known to hold no cutset
+    e(S, V-S) edges; and c <= c(G[K]) + |L \\ N(K)| for any split of V into
+    K, disjoint from S, and L, since a component of G - S that meets no
+    vertex of K lies in L \\ N(K), and those that do each hold a whole
+    component of G[K].  The walk takes for K the vertices a partial set can
+    no longer remove.  While every smaller size is known to hold no cutset
     (k = s), the walk drops only sets that cannot leave two components, so
     that a size without a cutset still raises k.  From that first size on
     the scan also ends once the need exceeds alpha(G), as c(G - S) <=

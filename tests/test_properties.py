@@ -7,7 +7,7 @@ every vertex subset with their own component count; for the per-edge
 witness searches, every subset of the search's pool in G - e.  The
 cutset scan's depth-first walk is compared with the plain per-size scan,
 kept here as ``_combinations_cutsets``, on graphs of 11-16 vertices, G(n,p)
-among them, where the walk runs.
+with p up to 0.7 among them, where the walk runs.
 """
 
 from fractions import Fraction
@@ -271,7 +271,7 @@ def _driven(scan, nbr, pool, caller, t):
 @st.composite
 def gnp(draw, min_n, max_n):
     n = draw(st.integers(min_n, max_n))
-    p = draw(st.sampled_from([0.2, 0.3, 0.4, 0.5]))
+    p = draw(st.sampled_from([0.2, 0.3, 0.4, 0.5, 0.6, 0.7]))
     edges = [e for e in combinations(range(n), 2) if draw(st.floats(0, 1)) < p]
     return Graph(n, edges)
 
@@ -311,7 +311,8 @@ def _alpha_by_brute_force(g):
 
 def test_walk_bounds_hold_on_every_connected_graph_up_to_5():
     # for every cutset S: kappa * c <= deg(S) - 2e(S), c <= deg(S) - e(S)
-    # - |S| + 1 and c <= alpha(G)
+    # - |S| + 1 and c <= alpha(G); and for every split of 0..n-1 into a
+    # prefix and a suffix, with K = prefix - S: c <= c(G[K]) + |suffix \ N(K)|
     for n in range(3, 6):
         for g in _labeled_graphs(n, connected_only=True):
             if g.is_complete():
@@ -324,6 +325,11 @@ def test_walk_bounds_hold_on_every_connected_graph_up_to_5():
                 assert kappa * c <= deg - 2 * inner
                 assert c <= deg - inner - len(vs) + 1
                 assert c <= alpha
+                for j in range(g.n + 1):
+                    kept = set(range(j)) - set(vs)
+                    reach = {w for u in kept for w in g.neighbors(u)}
+                    free = set(range(j, g.n)) - reach
+                    assert c <= _omega(g, set(range(g.n)) - kept) + len(free)
 
 
 @settings(max_examples=100, deadline=None)

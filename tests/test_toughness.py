@@ -280,16 +280,24 @@ def test_kappa_alpha_cutoff_work_at_vertex_cap(monkeypatch, g, tau, witness):
     assert value == tau and w.vertices == frozenset(witness)
 
 
+def _dense_gnp(n, p, seed):
+    rng = random.Random(seed)
+    return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
 @pytest.mark.parametrize(
     "g, t, value, witness, budget",
     [
-        # the full per-size scan made 155,382, 106,762 and 155,382 counts
-        (zoo.circulant(18, (1, 3)), None, F(1), range(0, 18, 2), 41_304),
+        # the full per-size scan made 155,382, 106,762, 155,382 and 64,839
+        # counts; the degree bounds alone left 41,304, 2,634, 5,796 and 64,607
+        (zoo.circulant(18, (1, 3)), None, F(1), range(0, 18, 2), 4_433),
         (zoo.path(18), F(2), False, range(1, 17, 2), 2_634),
         (zoo.cycle(18), F(3, 2), False, range(0, 18, 2), 5_796),
+        (_dense_gnp(16, 0.6, 1), None, F(3), {1, 2, 4, 5, 6, 7, 9, 10, 12, 13, 14, 15}, 633),
     ],
+    ids=["C18(1,3)", "P18", "C18", "G(16,0.6)"],
 )
-def test_partial_set_pruning_work_on_18_vertices(monkeypatch, g, t, value, witness, budget):
+def test_partial_set_pruning_work(monkeypatch, g, t, value, witness, budget):
     # the walk drops partial sets no completion of which leaves enough
     # components; each budget is the count it makes, at most a third of the
     # full scan's, and the counter raises past it
