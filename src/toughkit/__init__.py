@@ -39,7 +39,6 @@ from .graphs import (
     Graph,
     blocks,
     bridges,
-    components,
     edge,
     simplicial_vertices,
     vertex_connectivity,
@@ -105,7 +104,6 @@ __all__ = [
     "canonical_key",
     "clawfree_half_witness",
     "clawfree_toughness",
-    "components",
     "edge",
     "edge_deletion_witness",
     "encode_graph6",

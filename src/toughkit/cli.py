@@ -66,7 +66,7 @@ def _read_text(path: str | None) -> str:
     try:
         with open(path, "r", encoding="ascii") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit2(f"cannot read {path}: {exc}") from None
 
 

@@ -205,31 +205,6 @@ def component_masks(nbr: Sequence[int], pool: int) -> list[int]:
     return out
 
 
-class ComponentInfo(NamedTuple):
-    count: int
-    labels: dict[int, int]
-    sizes: list[int]
-
-
-def components(g: Graph, removed: Iterable[int] = ()) -> ComponentInfo:
-    """Connected components of ``g`` minus the removed vertices.
-
-    Component ids are dense, assigned 0,1,... by smallest contained vertex,
-    and ``labels`` is defined exactly on the surviving vertices.
-    """
-    rm = set_to_mask(removed)
-    if rm & ~((1 << g.n) - 1):
-        raise ValueError("removed set outside vertex range")
-    masks = component_masks(g._nbr, ((1 << g.n) - 1) ^ rm)
-    labels: dict[int, int] = {}
-    sizes = []
-    for i, m in enumerate(masks):
-        sizes.append(m.bit_count())
-        for v in mask_to_tuple(m):
-            labels[v] = i
-    return ComponentInfo(len(masks), labels, sizes)
-
-
 # -- bridges and blocks --------------------------------------------------------
 # Both come from the components of G - c for each cut vertex c, a vertex
 # whose removal leaves more components than G has.

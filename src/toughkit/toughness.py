@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import total_ordering
 from itertools import accumulate, combinations
 from math import comb
-from typing import Callable, Generator, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graphs import (
     Graph,
@@ -189,87 +189,6 @@ def _alpha_sums(nbr: Sequence[int]) -> list[int]:
 _WALK_ABOVE = 200
 
 
-def _walk(
-    nbr: Sequence[int],
-    pool: Sequence[int],
-    size: int,
-    bound: int,
-    least: int,
-    k: int,
-    degs: Sequence[int],
-    top: Sequence[int],
-) -> Generator[tuple[tuple[int, ...], int], None, bool]:
-    """The cutsets of one size from ``pool`` leaving at least ``least``
-    components, in ``combinations`` order, by a depth-first walk that drops
-    a partial set P, whose last vertex is pool[i], once no completion S can
-    leave ``bound`` <= ``least`` of them.  Two bounds use degrees: with r
-    more vertices to add, deg(S) <= deg(P) + top[r], the sum of the r
-    largest pool degrees, and e(S) >= e(P).  The third uses the vertices P
-    keeps for sure: K, the vertices outside the pool and the pool vertices
-    before i that P passed over, and L, the pool vertices after i.  A
-    component of G - S either holds a vertex of K, and adding vertices to K
-    only merges its components, so at most c(G[K]) do, or lies in L \\ N(K);
-    so c(G - S) <= c(G[K]) + |L \\ N(K)|.  The walk keeps the components of
-    G[K] and N(K) as it passes vertices over, and the bound with pool[i]
-    counted in L never grows with i, so once it falls short the rest of the
-    loop goes.  Returns whether it met a cutset."""
-    full = (1 << len(nbr)) - 1
-    m = len(pool)
-    # prune unless k * bound <= deg(S) - 2e(S) and bound <= deg(S) - e(S)
-    # - |S| + 1 can hold
-    cross, spare = k * bound, bound + size - 1
-    after = [0] * m  # after[i]: the pool vertices past index i
-    for i in range(m - 1, 0, -1):
-        after[i - 1] = after[i] | 1 << pool[i]
-    outside = full ^ (after[0] | 1 << pool[0])
-    reach0 = 0
-    for u in mask_to_tuple(outside):
-        reach0 |= nbr[u]
-    cut_seen = False
-
-    def extend(start, chosen, removed, deg, inner, left, kept, reach):
-        # kept: the component masks of G[K]; reach: N(K)
-        nonlocal cut_seen
-        for i in range(start, m - left):
-            if i > start:  # pool[i - 1] was passed over and joins K
-                u = pool[i - 1]
-                b = 1 << u
-                nu = nbr[u]
-                merged, rest = b, []
-                for comp in kept:
-                    if comp & nu:
-                        merged |= comp
-                    else:
-                        rest.append(comp)
-                rest.append(merged)
-                kept = rest
-                reach |= nu
-            v = pool[i]
-            most = len(kept) + (after[i] & ~reach).bit_count()
-            if most < bound:
-                if most + (not reach >> v & 1) < bound:
-                    return
-                continue
-            d = deg + degs[i]
-            e = inner + (nbr[v] & removed).bit_count()
-            room = d + top[left]
-            if room - 2 * e < cross or room - e < spare:
-                continue
-            if left:
-                yield from extend(
-                    i + 1, chosen + (v,), removed | 1 << v, d, e, left - 1, kept, reach
-                )
-                continue
-            omega = component_count(nbr, full ^ removed ^ 1 << v)
-            if omega >= 2:
-                cut_seen = True
-                if omega >= least:
-                    yield chosen + (v,), omega
-
-    yield from extend(0, (), 0, 0, 0, size - 1, component_masks(nbr, outside), reach0)
-    return cut_seen
-
-
 def _cutsets(
     nbr: Sequence[int], pool: Sequence[int], need: Callable[[int], int]
 ) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -288,37 +207,51 @@ def _cutsets(
     alpha sums are built the first time a size needs more than two
     components, the fewest any cutset leaves.
 
-    From the first size with more than ``_WALK_ABOVE`` subsets on, every
-    size is scanned by ``_walk``, which drops partial sets with three bounds
-    that hold for every cutset S of a connected graph: k * c <= e(S, V-S) =
-    deg(S) - 2e(S), since each component sends at least k edges into S;
-    c <= deg(S) - e(S) - |S| + 1, since contracting each component to a
-    vertex leaves a connected multigraph on |S| + c vertices with e(S) +
-    e(S, V-S) edges; and c <= c(G[K]) + |L \\ N(K)| for any split of V into
-    K, disjoint from S, and L, since a component of G - S that meets no
-    vertex of K lies in L \\ N(K), and those that do each hold a whole
-    component of G[K].  The walk takes for K the vertices a partial set can
-    no longer remove.  While every smaller size is known to hold no cutset
-    (k = s), the walk drops only sets that cannot leave two components, so
-    that a size without a cutset still raises k.  From that first size on
-    the scan also ends once the need exceeds alpha(G), as c(G - S) <=
-    alpha(G), and skips a size s where D_s - s + 1 falls short of it, D_s
-    the sum of the s largest pool degrees.  alpha(G), the pool degrees and
-    the prefix sums D of their descending order are built there; the walk
-    bounds the degree sum of the r vertices still to add by D_r.  Smaller
-    sizes keep the plain loop.  Measured on this engine, thresholds from 0
-    to 1,000 time alike on the 14-18 vertex queries, where the walk halves
-    the search time, but walking every size slowed the labeled n <= 6
-    sweep by about 10%: building alpha(G) costs more than the walk saves on
-    small graphs.  At 200 every sweep scan (n <= 8, at most 70 subsets a
-    size) and n = 9 keep the loop.
+    Sizes before the first with more than ``_WALK_ABOVE`` subsets count
+    every subset.  From that size on, ``walk`` scans each size depth first
+    in the same order and drops a partial set P, whose last vertex is
+    pool[i], once no completion S can leave ``bound`` components.  ``bound``
+    is the need, or 2 while every smaller size is known to hold no cutset
+    (k = s), so that a size without a cutset still raises k.  Every cutset
+    S of a connected graph obeys three bounds:
+
+    * k * c <= e(S, V-S) = deg(S) - 2e(S), since each component sends at
+      least k edges into S;
+    * c <= deg(S) - e(S) - |S| + 1, since contracting each component to a
+      vertex leaves a connected multigraph on |S| + c vertices with e(S) +
+      e(S, V-S) edges;
+    * c <= c(G[K]) + |L \\ N(K)| for any split of V into K, disjoint from
+      S, and L: a component of G - S that meets K holds a whole component
+      of G[K], and one that does not lies in L \\ N(K).
+
+    With r vertices left to add, deg(S) <= deg(P) + D_r, D_r the sum of the
+    r largest pool degrees, and e(S) >= e(P).  K is every vertex P can no
+    longer remove: those outside the pool and the pool vertices before i
+    that P passed over; L is the pool vertices after i.  The walk keeps the
+    component masks of G[K] and N(K) as vertices join K.  The third bound
+    with pool[i] counted in L never grows with i, so once it falls short
+    the rest of the loop goes.  From the first walking size on, the scan
+    also ends once the need exceeds alpha(G), as c(G - S) <= alpha(G), and
+    skips a size s where D_s - s + 1 falls short of it.  alpha(G), the pool
+    degrees, D, the pool vertices past each index and the components and
+    neighbourhood of the vertices outside the pool are built once, there.
+    Measured on this engine, thresholds from 0 to 1,000 time alike on the
+    14-18 vertex queries, where the walk halves the search time, but on
+    small graphs a walk step costs as much as the count it saves.  Walking
+    every size, ``toughness`` and ``is_t_tough(G, 1)`` over the labeled
+    connected graphs with n <= 6 counted 360,049 subsets instead of
+    861,121, yet under cProfile the walk's own steps took 1.57 s against
+    the 1.52 s of counting saved, and CPU time rose from 2.60 to 2.85 s
+    (medians of 5 runs); skipping alpha(G) did not close the gap.  At 200
+    every sweep scan (n <= 8, at most 70 subsets a size) and n = 9 keep the
+    loop.
     """
-    n = len(nbr)
+    n, m = len(nbr), len(pool)
     full = (1 << n) - 1
     k = 1
     alpha_sums = None
     alpha = None  # alpha(G), once the scan walks
-    for size in range(1, len(pool) + 1):
+    for size in range(1, m + 1):
         least = max(need(size), 2)
         if least > n - size:
             return
@@ -327,31 +260,83 @@ def _cutsets(
                 alpha_sums = _alpha_sums(nbr)
             if alpha_sums[size] // k < least:
                 continue
-        if alpha is None and comb(len(pool), size) > _WALK_ABOVE:
+        if alpha is None and comb(m, size) > _WALK_ABOVE:
             alpha = _independence_number(nbr, full)
             degs = [nbr[v].bit_count() for v in pool]
             top = list(accumulate(sorted(degs, reverse=True), initial=0))
-        if alpha is not None:
-            if least > alpha:
-                return
-            if top[size] - size + 1 < least:
-                continue
-            bound = 2 if k == size else least
-            cut_seen = yield from _walk(nbr, pool, size, bound, least, k, degs, top)
-            if not cut_seen and bound == 2:
-                k = size + 1
-            continue
+            after = [0] * m  # after[i]: the pool vertices past index i
+            for i in range(m - 1, 0, -1):
+                after[i - 1] = after[i] | 1 << pool[i]
+            outside = full ^ (after[0] | 1 << pool[0])
+            outside_comps = component_masks(nbr, outside)
+            outside_reach = 0
+            for u in mask_to_tuple(outside):
+                outside_reach |= nbr[u]
+
+            def walk(start, chosen, removed, deg, inner, left, kept, reach):
+                # the cutsets of this size that add ``left`` + 1 vertices from
+                # pool[start:] to ``chosen``; kept: the component masks of G[K];
+                # reach: N(K).  Made here, once a scan walks: made on every
+                # call, plain scans included, it slowed the n <= 6 scans by
+                # 5-7%
+                nonlocal cut_seen
+                for i in range(start, m - left):
+                    if i > start:  # pool[i - 1] was passed over and joins K
+                        u = pool[i - 1]
+                        nu = nbr[u]
+                        merged, rest = 1 << u, []
+                        for comp in kept:
+                            if comp & nu:
+                                merged |= comp
+                            else:
+                                rest.append(comp)
+                        rest.append(merged)
+                        kept = rest
+                        reach |= nu
+                    v = pool[i]
+                    most = len(kept) + (after[i] & ~reach).bit_count()
+                    if most < bound:
+                        if most + (not reach >> v & 1) < bound:
+                            return
+                        continue
+                    d = deg + degs[i]
+                    e = inner + (nbr[v] & removed).bit_count()
+                    room = d + top[left]
+                    if room - 2 * e < cross or room - e < spare:
+                        continue
+                    if left:
+                        yield from walk(
+                            i + 1, chosen + (v,), removed | 1 << v, d, e,
+                            left - 1, kept, reach
+                        )
+                        continue
+                    omega = component_count(nbr, full ^ removed ^ 1 << v)
+                    if omega >= 2:
+                        cut_seen = True
+                        if omega >= least:
+                            yield chosen + (v,), omega
         cut_seen = False
-        for combo in combinations(pool, size):
-            removed = 0
-            for v in combo:
-                removed |= 1 << v
-            omega = component_count(nbr, full ^ removed)
-            if omega >= 2:
-                cut_seen = True
-                if omega >= least:
-                    yield combo, omega
-        if not cut_seen:
+        if alpha is None:
+            for combo in combinations(pool, size):
+                removed = 0
+                for v in combo:
+                    removed |= 1 << v
+                omega = component_count(nbr, full ^ removed)
+                if omega >= 2:
+                    cut_seen = True
+                    if omega >= least:
+                        yield combo, omega
+        elif least > alpha:
+            return
+        elif top[size] - size + 1 < least:
+            continue
+        else:
+            bound = 2 if k == size else least
+            # prune unless k * bound <= deg(S) - 2e(S) and bound <= deg(S)
+            # - e(S) - |S| + 1 can hold
+            cross, spare = k * bound, bound + size - 1
+            yield from walk(0, (), 0, 0, 0, size - 1, outside_comps, outside_reach)
+        if not cut_seen and (alpha is None or bound == 2):
             k = size + 1
 
 

@@ -194,6 +194,19 @@ def test_dedup_is_rejected_with_source(command, mode, tmp_path, capsys):
     assert capsys.readouterr().err == "toughkit: --dedup applies only to --enumerate\n"
 
 
+@pytest.mark.parametrize("command", [["verify", "all"], ["scan"]])
+def test_non_ascii_source_is_a_usage_error(command, tmp_path, capsys):
+    # a byte outside ASCII used to escape as a traceback with exit code 1,
+    # the code of a violation
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_bytes(b"C~\n\xc4\x80\n")
+    code, out = run_cli(command + ["--source", str(corpus)])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"toughkit: cannot read {corpus}: ")
+    assert "can't decode byte 0xc4" in err
+
+
 def test_verify_from_file(tmp_path):
     corpus = tmp_path / "corpus.g6"
     corpus.write_text("Cl\nbad line!!\nBw\n")

@@ -10,7 +10,6 @@ from toughkit import (
     Graph,
     blocks,
     bridges,
-    components,
     edge,
     edge_deletion_witness,
     parse_adjacency,
@@ -20,6 +19,7 @@ from toughkit import (
     vertex_connectivity,
 )
 from toughkit.enumeration import _labeled_graphs, enumerate_trees
+from toughkit.graphs import component_count, component_masks
 
 
 def test_graph_construction_and_accessors():
@@ -76,25 +76,17 @@ def test_delete_edge_and_add_edges():
         c4.delete_edge(0, 2)
 
 
-def test_components_on_named_graphs():
+def test_component_masks_on_named_graphs():
     c4 = zoo.cycle(4)
-    assert components(c4).count == 1
-    info = components(c4, [0, 2])
-    assert info.count == 2
-    assert info.labels == {1: 0, 3: 1}
-    assert info.sizes == [1, 1]
+    assert component_masks(c4._nbr, 0b1111) == [0b1111]
+    assert component_masks(c4._nbr, 0b1010) == [0b0010, 0b1000]
     # removing the star center isolates the leaves
-    assert components(zoo.star(3), [0]).count == 3
+    assert component_count(zoo.star(3)._nbr, 0b1110) == 3
 
 
-def test_components_id_assignment_and_sizes():
+def test_component_masks_ordered_by_least_vertex():
     g = Graph(6, [(0, 1), (2, 3), (2, 4)])
-    info = components(g, [5])
-    assert info.count == 2
-    assert info.labels[0] == 0 and info.labels[2] == 1
-    assert sum(info.sizes) == g.n - 1
-    with pytest.raises(ValueError):
-        components(g, [7])
+    assert component_masks(g._nbr, 0b011111) == [0b000011, 0b011100]
 
 
 def test_bridges_examples():
@@ -107,9 +99,9 @@ def test_bridges_definition_exhaustive_n5():
     # e is a bridge iff deleting it increases the component count
     for g in _labeled_graphs(5, connected_only=False):
         br = bridges(g)
-        base = components(g).count
+        base = zoo.omega(g)
         for e in g.edges():
-            expected = components(g.delete_edge(*e)).count > base
+            expected = zoo.omega(g.delete_edge(*e)) > base
             assert (e in br) == expected
 
 
@@ -202,7 +194,7 @@ def _brute_force_kappa(g):
     # smallest vertex set whose removal disconnects (or empties) the graph
     for size in range(g.n - 1):
         for combo in combinations(range(g.n), size):
-            if components(g, combo).count >= 2:
+            if zoo.omega(g, combo) >= 2:
                 return size
     return g.n - 1
 

@@ -9,7 +9,6 @@ from toughkit import (
     Graph,
     bridges,
     clawfree_half_witness,
-    components,
     edge_deletion_witness,
     generate,
     is_minimally_t_tough,
@@ -42,8 +41,8 @@ def first_witness_by_definition(g, t, e):
     gm = g.delete_edge(*e)
     for size in range(0, g.n - 1):
         for combo in combinations(range(g.n), size):
-            before = components(g, combo).count
-            after = components(gm, combo).count
+            before = zoo.omega(g, combo)
+            after = zoo.omega(gm, combo)
             if after >= 2 and after > F(size, 1) / t and before <= F(size, 1) / t:
                 return frozenset(combo)
     return None
@@ -192,7 +191,7 @@ def clawfree_half_by_definition(g, e):
         return frozenset()
     gm = g.delete_edge(*e)
     for x in range(g.n):
-        if components(gm, [x]).count > 2 >= components(g, [x]).count:
+        if zoo.omega(gm, [x]) > 2 >= zoo.omega(g, [x]):
             return frozenset({x})
     return None
 

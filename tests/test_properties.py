@@ -7,16 +7,21 @@ every vertex subset with their own component count; for the per-edge
 witness searches, every subset of the search's pool in G - e.  The
 cutset scan's depth-first walk is compared with the plain per-size scan,
 kept here as ``_combinations_cutsets``, on graphs of 11-16 vertices, G(n,p)
-with p up to 0.7 among them, where the walk runs.
+with p up to 0.7 among them, where the walk runs, and on fixed pools that
+leave vertices out of a dense G(16, 0.6) less an edge.
 """
 
+import importlib
+import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import zoo
 from toughkit import (
     Graph,
     edge_deletion_witness,
@@ -64,29 +69,13 @@ def graphs(max_n):
     return st.one_of(trees_with_chords(max_n), circulants(max_n))
 
 
-def _omega(g, removed):
-    """Components of g - removed, by a depth-first search of its own."""
-    left = set(range(g.n)) - set(removed)
-    count = 0
-    while left:
-        count += 1
-        stack = [left.pop()]
-        while stack:
-            v = stack.pop()
-            for w in g.neighbors(v):
-                if w in left:
-                    left.remove(w)
-                    stack.append(w)
-    return count
-
-
 def _cutsets(g, pool=None):
     """(S, c(G - S)) for every cutset S drawn from ``pool`` (default: every
     vertex), by size and then lexicographically."""
     pool = range(g.n) if pool is None else pool
     for size in range(1, g.n - 1):
         for vs in combinations(pool, size):
-            omega = _omega(g, vs)
+            omega = zoo.omega(g, vs)
             if omega >= 2:
                 yield vs, omega
 
@@ -113,7 +102,7 @@ def test_is_t_tough_witness_is_brute_force_maximiser(g, t):
     if g.is_complete():
         assert (ok, w) == (True, None)
         return
-    if _omega(g, ()) >= 2:
+    if zoo.omega(g, ()) >= 2:
         assert not ok and w.vertices == frozenset()
         return
     # the first strict maximiser of p*c - q*|S| with a positive score
@@ -164,13 +153,13 @@ def _expected_edge_witness(g, t, e, pool):
     RuntimeError message it must raise when there is no such S or S
     fails the witness conditions."""
     minus = g.delete_edge(*e)
-    if _omega(minus, ()) > _omega(g, ()):
+    if zoo.omega(minus, ()) > zoo.omega(g, ()):
         return ()
     p, q = t.numerator, t.denominator
     first = next((vs for vs, c in _cutsets(minus, pool) if p * c > q * len(vs)), None)
     if first is None:
         return "no witness"
-    before, after = _omega(g, first), _omega(minus, first)
+    before, after = zoo.omega(g, first), zoo.omega(minus, first)
     # holds: c(G-S) <= |S|/t < c((G-e)-S) = c(G-S) + 1
     if p * before <= q * len(first) and after == before + 1:
         return first
@@ -178,7 +167,7 @@ def _expected_edge_witness(g, t, e, pool):
 
 
 def _check_edge_search(search, g, t, e, pool):
-    if _omega(g, ()) >= 2:
+    if zoo.omega(g, ()) >= 2:
         with pytest.raises(ValueError, match="disconnected"):
             search(g, t, e)
         return
@@ -300,6 +289,37 @@ def test_walk_yields_the_combinations_scan(g, caller, t, data):
         )
 
 
+@pytest.mark.parametrize("caller", ["toughness", "is_t_tough", "first"])
+@pytest.mark.parametrize("t", [Fraction(3, 2), Fraction(6)])
+def test_walk_on_restricted_pools_yields_the_combinations_scan(monkeypatch, caller, t):
+    # a dense G(16, 0.6) less an edge uv, scanned over V - {u, v} and
+    # N({u, v}) - {u, v}: the walk starts with the vertices outside the pool
+    # in K, which the hypothesis test above reaches only on its larger draws
+    rng = random.Random(1)
+    g = Graph(16, [e for e in combinations(range(16), 2) if rng.random() < 0.6])
+    u, v = g.edges()[0]
+    minus = g.delete_edge(u, v)
+    hood = sorted((set(g.neighbors(u)) | set(g.neighbors(v))) - {u, v})
+    count = component_count
+    work = [0, 0]  # component counts of the scan under test and the reference
+
+    def counter(i):
+        def counted(nbr, pool):
+            work[i] += 1
+            return count(nbr, pool)
+
+        return counted
+
+    monkeypatch.setattr(importlib.import_module("toughkit.toughness"), "component_count", counter(0))
+    monkeypatch.setitem(globals(), "component_count", counter(1))
+    for pool in ([x for x in range(g.n) if x not in (u, v)], hood):
+        assert max(comb(len(pool), size) for size in range(len(pool))) > 200
+        work[:] = 0, 0
+        walked = _driven(_cutsets_under_test, minus._nbr, pool, caller, t)
+        assert walked == _driven(_combinations_cutsets, minus._nbr, pool, caller, t)
+        assert work[0] < work[1]  # the walk dropped sets, so it ran
+
+
 def _alpha_by_brute_force(g):
     return max(
         size
@@ -329,7 +349,7 @@ def test_walk_bounds_hold_on_every_connected_graph_up_to_5():
                     kept = set(range(j)) - set(vs)
                     reach = {w for u in kept for w in g.neighbors(u)}
                     free = set(range(j, g.n)) - reach
-                    assert c <= _omega(g, set(range(g.n)) - kept) + len(free)
+                    assert c <= zoo.omega(g, set(range(g.n)) - kept) + len(free)
 
 
 @settings(max_examples=100, deadline=None)

@@ -12,7 +12,6 @@ from toughkit import (
     Toughness,
     WitnessSet,
     clawfree_toughness,
-    components,
     is_t_tough,
     naive_toughness_oracle,
     toughness,
@@ -21,6 +20,7 @@ from toughkit import (
     witness_for,
 )
 from toughkit.enumeration import _labeled_graphs
+from toughkit.graphs import component_masks, set_to_mask
 from toughkit.recognition import _clawfree_verdict
 from toughkit.toughness import _cutsets
 
@@ -148,10 +148,10 @@ def test_is_t_tough_witness_maximizes():
         if ok:
             continue
         best = max(
-            components(g, set_).count * t - len(set_)
+            zoo.omega(g, set_) * t - len(set_)
             for size in range(1, g.n - 1)
             for set_ in combinations(range(g.n), size)
-            if components(g, set_).count >= 2
+            if zoo.omega(g, set_) >= 2
         )
         assert w.component_count * t - w.cut_size == best
 
@@ -213,21 +213,15 @@ def test_dominance_pruning_property():
         if g.is_complete():
             continue
         unrestricted = toughness(g)[0].value
+        full = (1 << g.n) - 1
         restricted = None
         for size in range(1, g.n - 1):
             for combo in combinations(range(g.n), size):
-                info = components(g, combo)
-                if info.count < 2:
+                masks = component_masks(g._nbr, full ^ set_to_mask(combo))
+                if len(masks) < 2:
                     continue
-                comp_sets = [
-                    {v for v, c in info.labels.items() if c == i}
-                    for i in range(info.count)
-                ]
-                if all(
-                    sum(1 for cs in comp_sets if any(g.has_edge(v, w) for w in cs)) >= 2
-                    for v in combo
-                ):
-                    r = F(size, info.count)
+                if all(sum(1 for m in masks if g._nbr[v] & m) >= 2 for v in combo):
+                    r = F(size, len(masks))
                     if restricted is None or r < restricted:
                         restricted = r
         assert restricted == unrestricted

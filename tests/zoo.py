@@ -1,10 +1,27 @@
-"""Named small graphs built from explicit edge lists.
+"""Named small graphs built from explicit edge lists, and a component
+count of the tests' own.
 
-Kept independent of the package's family generators so tests can use these
-as fixtures without circularity.
+Kept independent of the package's family generators and component search so
+tests can use these as fixtures and oracles without circularity.
 """
 
 from toughkit import Graph, enumerate_trees
+
+
+def omega(g, removed=()):
+    """Components of g - removed, by a depth-first search of its own."""
+    left = set(range(g.n)) - set(removed)
+    count = 0
+    while left:
+        count += 1
+        stack = [left.pop()]
+        while stack:
+            v = stack.pop()
+            for w in g.neighbors(v):
+                if w in left:
+                    left.remove(w)
+                    stack.append(w)
+    return count
 
 
 def complete(n):
