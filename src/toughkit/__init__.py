@@ -8,7 +8,6 @@ facts behind all of it.
 """
 
 from .enumeration import (
-    canonical_graph,
     canonical_key,
     enumerate_connected_graphs,
     enumerate_trees,
@@ -100,7 +99,6 @@ __all__ = [
     "WitnessSet",
     "blocks",
     "bridges",
-    "canonical_graph",
     "canonical_key",
     "clawfree_half_witness",
     "clawfree_toughness",

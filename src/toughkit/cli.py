@@ -104,33 +104,16 @@ def _cmd_is_tough(args, out) -> int:
 
 def _cmd_classify(args, out) -> int:
     g = _read_graph(args.graph, args.cap)
-    rows = []
-    cc = is_chordal(g)
-    rows.append(
-        (
-            "chordal",
-            cc.verdict,
-            f"order=[{','.join(map(str, cc.elimination_order))}]"
-            if cc.verdict
-            else f"witness={set_to_str(cc.witness)}",
-        )
-    )
-    sc = is_split(g)
-    rows.append(
-        (
-            "split",
-            sc.verdict,
-            f"C={set_to_str(sc.clique)} I={set_to_str(sc.independent)}"
-            if sc.verdict
-            else f"witness={set_to_str(sc.witness)}",
-        )
-    )
-    for name, cert in (("claw-free", is_claw_free(g)), ("2k2-free", is_2k2_free(g))):
-        rows.append(
-            (name, cert.verdict, "-" if cert.verdict else f"witness={set_to_str(cert.witness)}")
-        )
-    for name, verdict, detail in rows:
-        print(f"{name:<9} {'yes' if verdict else 'no':<3} {detail}", file=out)
+    for cert in (is_chordal(g), is_split(g), is_claw_free(g), is_2k2_free(g)):
+        if not cert.verdict:
+            detail = f"witness={set_to_str(cert.witness)}"
+        elif cert.elimination_order is not None:
+            detail = f"order=[{','.join(map(str, cert.elimination_order))}]"
+        elif cert.clique is not None:
+            detail = f"C={set_to_str(cert.clique)} I={set_to_str(cert.independent)}"
+        else:
+            detail = "-"
+        print(f"{cert.family:<9} {'yes' if cert.verdict else 'no':<3} {detail}", file=out)
     return 0
 
 

@@ -112,11 +112,6 @@ def _certificate(nbr: tuple[int, ...]) -> int:
     return _min_encoding(nbr, [cells[c] for c in sorted(colour)])
 
 
-def canonical_graph(g: Graph) -> Graph:
-    """A canonically labeled copy of ``g`` (isomorphic graphs map to equal copies)."""
-    return graph_from_key(g.n, canonical_key(g))
-
-
 def _labeled_graphs(n: int, connected_only: bool) -> Iterator[Graph]:
     pairs = list(combinations(range(n), 2))
     nbits = len(pairs)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, blocks, bridges, component_count
+from .graphs import MAX_VERTEX_CAP, Graph, blocks, bridges, component_count
 from .recognition import _clawfree_verdict, _twok2_verdict
 from .toughness import Toughness, toughness
 
@@ -78,39 +78,51 @@ def _valid_half_tree(tree: Graph) -> str | None:
     return None
 
 
+def _order(n: int) -> int:
+    """n, checked against ``Graph``'s bound before a family builds its edges."""
+    if n > MAX_VERTEX_CAP:
+        raise ValueError(f"vertex count {n} outside 0..{MAX_VERTEX_CAP}")
+    return n
+
+
 def generate(d: FamilyDescriptor) -> Graph:
     """Build the graph described by a family descriptor."""
     if isinstance(d, Star):
         if d.b < 1:
             raise ValueError("star needs b >= 1")
-        return Graph(d.b + 1, [(0, i) for i in range(1, d.b + 1)])
+        n = _order(d.b + 1)
+        return Graph(n, [(0, i) for i in range(1, n)])
     if isinstance(d, Path):
         if d.n < 1:
             raise ValueError("path needs n >= 1")
-        return Graph(d.n, [(i, i + 1) for i in range(d.n - 1)])
+        n = _order(d.n)
+        return Graph(n, [(i, i + 1) for i in range(n - 1)])
     if isinstance(d, Cycle):
         if d.n < 3:
             raise ValueError("cycle needs n >= 3")
-        return Graph(d.n, [(i, (i + 1) % d.n) for i in range(d.n)])
+        n = _order(d.n)
+        return Graph(n, [(i, (i + 1) % n) for i in range(n)])
     if isinstance(d, DoubleStar):
         if d.b < 2:
             raise ValueError("double star needs b >= 2")
         if not 1 <= d.k <= d.b - 1:
             raise ValueError("double star needs 1 <= k <= b-1")
+        n = _order(d.b + d.k + 1)
         edges = [(0, 1)]
         edges += [(0, i) for i in range(2, d.b + 1)]
-        edges += [(1, i) for i in range(d.b + 1, d.b + d.k + 1)]
-        return Graph(d.b + d.k + 1, edges)
+        edges += [(1, i) for i in range(d.b + 1, n)]
+        return Graph(n, edges)
     if isinstance(d, SplitTriangle):
         if d.b < 1:
             raise ValueError("split triangle needs b >= 1")
+        n = _order(3 * d.b)
         edges = [(0, 1), (0, 2), (1, 2)]
         nxt = 3
         for i in range(3):
             for _ in range(d.b - 1):
                 edges.append((i, nxt))
                 nxt += 1
-        return Graph(nxt, edges)
+        return Graph(n, edges)
     if isinstance(d, ClawfreeHalfFromTree):
         tree = d.tree
         reason = _valid_half_tree(tree)

@@ -60,6 +60,10 @@ from .mintough import (
     twok2_neighborhood_witness,
 )
 from .recognition import (
+    CHORDAL,
+    CLAW_FREE,
+    SPLIT,
+    TWO_K2_FREE,
     _chordal_verdict,
     _clawfree_verdict,
     _split_verdict,
@@ -513,7 +517,7 @@ class ScanRow(NamedTuple):
         )
 
 
-_CLASSES = ("chordal", "split", "claw-free", "2k2-free")
+_CLASSES = (CHORDAL, SPLIT, CLAW_FREE, TWO_K2_FREE)
 
 
 def scan_minimally_tough(

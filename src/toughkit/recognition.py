@@ -3,15 +3,16 @@
 Each recognizer returns a certificate: a perfect elimination order or a
 clique/independent partition on acceptance, or an induced forbidden
 subgraph on rejection.  Negative witnesses are the lexicographically
-smallest qualifying vertex tuple, so outputs are reproducible.  Witness
-extraction scans vertex subsets and is intended for desk-scale graphs.
+smallest qualifying vertex tuple, so outputs are reproducible.  One pruned
+depth-first search over sorted vertex tuples, ``_least_induced``, finds
+all four.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .graphs import Graph, component_count, mask_to_tuple, set_to_mask, simplicial_in
 
@@ -37,6 +38,56 @@ class ClassCertificate:
     clique: frozenset[int] | None = None
     independent: frozenset[int] | None = None
     witness: tuple[int, ...] | None = None
+
+
+# -- the witness search ----------------------------------------------------------
+
+_HIT, _EXTEND, _DROP = range(3)
+
+# Sorted induced degrees: (1,1,1,1) is 2K2, (2,2,2,2) C4, (2,2,2,2,2) C5 and
+# (1,1,1,3) the claw, since no other graph on 4 or 5 vertices has them.
+# 2K2, C4 and C5 are the minimal non-split graphs (Foldes & Hammer 1977).
+_SPLIT_OBSTRUCTIONS = frozenset({(1, 1, 1, 1), (2, 2, 2, 2), (2, 2, 2, 2, 2)})
+_CLAW = frozenset({(1, 1, 1, 3)})
+_TWO_K2 = frozenset({(1, 1, 1, 1)})
+
+
+def _least_induced(g: Graph, most: int, verdict) -> tuple[int, ...]:
+    """The lexicographically least sorted tuple of at most ``most`` vertices
+    that ``verdict`` calls a hit; g must hold one.
+
+    A preorder DFS over sorted tuples visits them in lexicographic order, so
+    its first hit is the least.  ``verdict(vs, mask)`` answers ``_HIT``,
+    ``_EXTEND`` or ``_DROP``, the last when no tuple that adds larger
+    vertices to vs can be a hit.
+    """
+
+    def walk(prefix: tuple[int, ...], mask: int) -> Iterator[tuple[int, ...]]:
+        for v in range(prefix[-1] + 1 if prefix else 0, g.n):
+            vs, grown = prefix + (v,), mask | 1 << v
+            answer = verdict(vs, grown)
+            if answer == _HIT:
+                yield vs
+            elif answer == _EXTEND and len(vs) < most:
+                yield from walk(vs, grown)
+
+    return next(walk((), 0))
+
+
+def _least_shape(g: Graph, shapes: frozenset[tuple[int, ...]]) -> tuple[int, ...]:
+    """The least sorted vertex tuple whose sorted induced degrees are one of
+    ``shapes``.  Induced degrees only grow as vertices join, so a tuple is
+    dropped once one of them exceeds every degree in ``shapes``."""
+    nbr = g._nbr
+    top = max(map(max, shapes))
+
+    def verdict(vs: tuple[int, ...], mask: int) -> int:
+        degrees = sorted([(nbr[v] & mask).bit_count() for v in vs])
+        if degrees[-1] > top:
+            return _DROP
+        return _HIT if tuple(degrees) in shapes else _EXTEND
+
+    return _least_induced(g, max(map(len, shapes)), verdict)
 
 
 # -- chordal ---------------------------------------------------------------------
@@ -68,51 +119,31 @@ def _chordal_verdict(g: Graph) -> bool:
     return len(_elimination_order(g)) == g.n
 
 
-def _induces_cycle(g: Graph, vs: tuple[int, ...]) -> bool:
-    mask = set_to_mask(vs)
-    # induced degrees all 2 and connected => a single chordless cycle
-    for v in vs:
-        if (g._nbr[v] & mask).bit_count() != 2:
-            return False
-    return component_count(g._nbr, mask) == 1
-
-
 def _lex_min_chordless_cycle(g: Graph) -> tuple[int, ...]:
     """The lexicographically least sorted vertex tuple inducing a cycle of
     length >= 4.
 
-    A preorder DFS over sorted tuples visits them in lexicographic order, so
-    its first hit is the least.  Extensions only add vertices above the last
-    one, so a prefix is cut off when a vertex has induced degree > 2, when a
-    vertex of degree d < 2 has fewer than 2 - d neighbors above the last
-    vertex, or when every degree is 2 (a union of cycles, closed to growth).
+    Extensions only add vertices above the last one, so a tuple is dropped
+    when a vertex has induced degree > 2, when a vertex of degree d < 2 has
+    fewer than 2 - d neighbors above the last vertex, or when every degree
+    is 2 (a union of cycles, closed to growth) and it is not one cycle of
+    length >= 4.
     """
-    nbr, n = g._nbr, g.n
+    nbr = g._nbr
 
-    def extend(prefix: tuple[int, ...], mask: int) -> tuple[int, ...] | None:
-        for v in range(prefix[-1] + 1 if prefix else 0, n):
-            vs = prefix + (v,)
-            grown = mask | 1 << v
-            above = -1 << (v + 1)
-            closed = True
-            for x in vs:
-                d = (nbr[x] & grown).bit_count()
-                if d > 2 or (nbr[x] & above).bit_count() < 2 - d:
-                    break
-                closed = closed and d == 2
-            else:
-                if not closed:
-                    found = extend(vs, grown)
-                    if found is not None:
-                        return found
-                elif len(vs) >= 4 and component_count(nbr, grown) == 1:
-                    return vs
-        return None
+    def verdict(vs: tuple[int, ...], mask: int) -> int:
+        above = -1 << (vs[-1] + 1)
+        closed = True
+        for x in vs:
+            d = (nbr[x] & mask).bit_count()
+            if d > 2 or (nbr[x] & above).bit_count() < 2 - d:
+                return _DROP
+            closed = closed and d == 2
+        if not closed:
+            return _EXTEND
+        return _HIT if len(vs) >= 4 and component_count(nbr, mask) == 1 else _DROP
 
-    found = extend((), 0)
-    if found is None:
-        raise RuntimeError("no chordless cycle found in a non-chordal graph")
-    return found
+    return _least_induced(g, g.n, verdict)
 
 
 def is_chordal(g: Graph) -> ClassCertificate:
@@ -148,21 +179,6 @@ def _split_verdict(g: Graph) -> bool:
     return _split_threshold(x.bit_count() for x in g._nbr) is not None
 
 
-def _lex_min_split_obstruction(g: Graph) -> tuple[int, ...]:
-    # minimal obstructions to being split: induced 2K2, C4 or C5 (no 5-set
-    # induces a 2K2).  Each size is scanned in lexicographic order, so its
-    # first hit is its least.
-    hits = []
-    for size in (4, 5):
-        for vs in combinations(range(g.n), size):
-            if _induces_cycle(g, vs) or _induces_2k2(g, vs):
-                hits.append(vs)
-                break
-    if not hits:
-        raise RuntimeError("no 2K2/C4/C5 found in a non-split graph")
-    return min(hits)
-
-
 def is_split(g: Graph) -> ClassCertificate:
     """Test whether the vertices split into a clique plus an independent set.
 
@@ -179,7 +195,7 @@ def is_split(g: Graph) -> ClassCertificate:
     degrees = g.degrees()
     m = _split_threshold(degrees)
     if m is None:
-        return ClassCertificate(SPLIT, False, witness=_lex_min_split_obstruction(g))
+        return ClassCertificate(SPLIT, False, witness=_least_shape(g, _SPLIT_OBSTRUCTIONS))
     full = (1 << g.n) - 1
     forced = set_to_mask(v for v, d in enumerate(degrees) if d >= m)
     loose = [v for v, d in enumerate(degrees) if d == m - 1]
@@ -216,18 +232,11 @@ def _clawfree_verdict(g: Graph) -> bool:
     return True
 
 
-def _induces_claw(g: Graph, vs: tuple[int, ...]) -> bool:
-    mask = set_to_mask(vs)
-    degs = sorted((g._nbr[v] & mask).bit_count() for v in vs)
-    return degs == [1, 1, 1, 3]
-
-
 def is_claw_free(g: Graph) -> ClassCertificate:
     """Test for an induced star on three leaves."""
     if _clawfree_verdict(g):
         return ClassCertificate(CLAW_FREE, True)
-    witness = next(vs for vs in combinations(range(g.n), 4) if _induces_claw(g, vs))
-    return ClassCertificate(CLAW_FREE, False, witness=witness)
+    return ClassCertificate(CLAW_FREE, False, witness=_least_shape(g, _CLAW))
 
 
 # -- 2K2-free --------------------------------------------------------------------
@@ -244,14 +253,8 @@ def _twok2_verdict(g: Graph) -> bool:
     return True
 
 
-def _induces_2k2(g: Graph, vs: tuple[int, ...]) -> bool:
-    mask = set_to_mask(vs)
-    return all((g._nbr[v] & mask).bit_count() == 1 for v in vs)
-
-
 def is_2k2_free(g: Graph) -> ClassCertificate:
     """Test for an induced pair of independent edges."""
     if _twok2_verdict(g):
         return ClassCertificate(TWO_K2_FREE, True)
-    witness = next(vs for vs in combinations(range(g.n), 4) if _induces_2k2(g, vs))
-    return ClassCertificate(TWO_K2_FREE, False, witness=witness)
+    return ClassCertificate(TWO_K2_FREE, False, witness=_least_shape(g, _TWO_K2))

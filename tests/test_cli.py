@@ -3,12 +3,17 @@ import io
 import os
 import random
 import re
+import resource
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import toughkit
 import zoo
 from toughkit import (
     ClawfreeHalfFromTree,
@@ -30,8 +35,6 @@ def run_cli(argv, stdin_text="", env_cap=None, monkeypatch=None):
 
 
 def run_with_stdin(argv, stdin_text, out, env_cap, monkeypatch):
-    import sys
-
     old_stdin = sys.stdin
     sys.stdin = io.StringIO(stdin_text)
     old_env = os.environ.pop("TOUGHKIT_CAP", None)
@@ -156,6 +159,39 @@ def test_generate_command(tmp_path):
     assert code == 2
     code, out = run_cli(["generate", "widget:9"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    [
+        "star:1000000000",
+        "path:1000000000",
+        "cycle:1000000000",
+        "doublestar:1000000000,1",
+        "splittriangle:1000000000",
+    ],
+)
+def test_generate_checks_the_vertex_count_before_building(descriptor):
+    # a CLI process limited to 1 GiB of address space (the limit is set in
+    # the child only): an edge list for 10**9 vertices would run out of
+    # memory and exit 1 with a traceback, or, without the limit, grow for
+    # minutes
+    def limit_memory():
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        soft = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+    src = Path(toughkit.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "toughkit", "generate", descriptor],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=limit_memory,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert re.search(r"^toughkit: vertex count \d+ outside 0\.\.64$", proc.stderr, re.M)
 
 
 def test_verify_command_pass_and_fail():

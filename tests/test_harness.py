@@ -7,7 +7,9 @@ from toughkit import (
     EnumerationSource,
     Graph,
     Graph6Source,
+    canonical_key,
     encode_graph6,
+    parse_graph6,
     run_suite,
     run_suites,
     scan_minimally_tough,
@@ -15,9 +17,15 @@ from toughkit import (
 from toughkit import harness
 from toughkit.harness import SUITES, _ToughnessMemo, classify
 from toughkit.enumeration import enumerate_connected_graphs
+from toughkit.graph6 import graph_from_key
 from toughkit.mintough import minimal_toughness_value
 
 F = Fraction
+
+
+def _canonical(g):
+    """g relabeled as the dedup enumeration yields its class."""
+    return graph_from_key(g.n, canonical_key(g))
 
 
 def test_unknown_suite_rejected():
@@ -36,12 +44,10 @@ def test_enumeration_source_checks_range_up_front():
 
 
 def test_t16_instances_on_dedup_enumeration():
-    from toughkit import canonical_graph
-
     rep = run_suite("T16", EnumerationSource(range(1, 7), mode="dedup"))
     assert rep.verdict == "pass"
     assert [g6 for g6, _ in rep.instances] == [
-        encode_graph6(canonical_graph(zoo.cycle(n))) for n in (4, 5, 6)
+        encode_graph6(_canonical(zoo.cycle(n))) for n in (4, 5, 6)
     ]
     assert rep.scanned == 1 + 1 + 2 + 6 + 21 + 112
 
@@ -72,13 +78,11 @@ def test_t12_passes_and_t20_fails_small():
 
 
 def test_t17_pass_includes_net():
-    from toughkit import canonical_graph
-
     rep = run_suite("T17", EnumerationSource(range(1, 7), mode="dedup"))
     assert rep.verdict == "pass"
     members = {g6 for g6, _ in rep.instances}
-    assert encode_graph6(canonical_graph(zoo.path(3))) in members
-    assert encode_graph6(canonical_graph(zoo.net())) in members
+    assert encode_graph6(_canonical(zoo.path(3))) in members
+    assert encode_graph6(_canonical(zoo.net())) in members
 
 
 def test_labeled_and_dedup_modes_agree():
@@ -87,14 +91,12 @@ def test_labeled_and_dedup_modes_agree():
         ded = run_suite(suite, EnumerationSource(range(1, 6), mode="dedup"))
         assert lab.verdict == ded.verdict
         # labeled instances collapse onto the dedup instances up to relabeling
-        from toughkit import canonical_graph, parse_graph6
-
         lab_keys = {
-            (encode_graph6(canonical_graph(parse_graph6(g6))), d)
+            (encode_graph6(_canonical(parse_graph6(g6))), d)
             for g6, d in lab.instances
         }
         ded_keys = {
-            (encode_graph6(canonical_graph(parse_graph6(g6))), d)
+            (encode_graph6(_canonical(parse_graph6(g6))), d)
             for g6, d in ded.instances
         }
         assert lab_keys == ded_keys
@@ -121,22 +123,20 @@ def test_report_text_is_stable_and_excludes_timing():
 
 
 def test_kriesell_scan_rows():
-    from toughkit import canonical_graph
-
     rows, malformed = scan_minimally_tough(
         EnumerationSource(range(1, 5), mode="dedup")
     )
     assert not malformed
     by_g6 = {r.g6: r for r in rows}
-    c4 = encode_graph6(canonical_graph(zoo.cycle(4)))
+    c4 = encode_graph6(_canonical(zoo.cycle(4)))
     assert by_g6[c4].t == 1
     assert by_g6[c4].min_degree == 2 and by_g6[c4].ceil_2t == 2
     assert set(by_g6[c4].classes) == {"claw-free", "2k2-free"}
-    star = encode_graph6(canonical_graph(zoo.star(3)))
+    star = encode_graph6(_canonical(zoo.star(3)))
     assert by_g6[star].t == F(1, 3)
     assert set(by_g6[star].classes) == {"chordal", "split", "2k2-free"}
     assert by_g6[star].min_degree == 1 and by_g6[star].ceil_2t == 1
-    p3 = encode_graph6(canonical_graph(zoo.path(3)))
+    p3 = encode_graph6(_canonical(zoo.path(3)))
     assert by_g6[p3].t == F(1, 2) and by_g6[p3].min_degree == 1
     assert by_g6[p3].ceil_2t == 1
 

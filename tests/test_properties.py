@@ -289,12 +289,27 @@ def test_walk_yields_the_combinations_scan(g, caller, t, data):
         )
 
 
+# The walk's component counts on V - {u, v} and on N({u, v}) - {u, v}, the
+# budgets below.  A walk that starts without N(V - pool) in its reach, a
+# sound but weaker K/L bound, made 632/374, 632/374, 205/150, 638/376,
+# 205/150 and 894/480 in the same order.
+_RESTRICTED_POOL_BUDGETS = {
+    ("toughness", Fraction(3, 2)): (269, 180),
+    ("toughness", Fraction(6)): (269, 180),
+    ("is_t_tough", Fraction(3, 2)): (126, 103),
+    ("is_t_tough", Fraction(6)): (271, 182),
+    ("first", Fraction(3, 2)): (126, 103),
+    ("first", Fraction(6)): (474, 277),
+}
+
+
 @pytest.mark.parametrize("caller", ["toughness", "is_t_tough", "first"])
 @pytest.mark.parametrize("t", [Fraction(3, 2), Fraction(6)])
 def test_walk_on_restricted_pools_yields_the_combinations_scan(monkeypatch, caller, t):
     # a dense G(16, 0.6) less an edge uv, scanned over V - {u, v} and
     # N({u, v}) - {u, v}: the walk starts with the vertices outside the pool
-    # in K, which the hypothesis test above reaches only on its larger draws
+    # in K, which the hypothesis test above reaches only on its larger draws;
+    # the walk's counter raises past its budget
     rng = random.Random(1)
     g = Graph(16, [e for e in combinations(range(16), 2) if rng.random() < 0.6])
     u, v = g.edges()[0]
@@ -302,17 +317,20 @@ def test_walk_on_restricted_pools_yields_the_combinations_scan(monkeypatch, call
     hood = sorted((set(g.neighbors(u)) | set(g.neighbors(v))) - {u, v})
     count = component_count
     work = [0, 0]  # component counts of the scan under test and the reference
+    budget = 0
 
     def counter(i):
         def counted(nbr, pool):
             work[i] += 1
+            assert i or work[0] <= budget, "the walk ran past its component-count budget"
             return count(nbr, pool)
 
         return counted
 
     monkeypatch.setattr(importlib.import_module("toughkit.toughness"), "component_count", counter(0))
     monkeypatch.setitem(globals(), "component_count", counter(1))
-    for pool in ([x for x in range(g.n) if x not in (u, v)], hood):
+    pools = ([x for x in range(g.n) if x not in (u, v)], hood)
+    for pool, budget in zip(pools, _RESTRICTED_POOL_BUDGETS[caller, t]):
         assert max(comb(len(pool), size) for size in range(len(pool))) > 200
         work[:] = 0, 0
         walked = _driven(_cutsets_under_test, minus._nbr, pool, caller, t)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import zoo
+from zoo import induces_2k2 as _induces_2k2, induces_cycle as _induces_cycle
 from toughkit import (
     Graph,
     is_2k2_free,
@@ -16,8 +17,6 @@ from toughkit.enumeration import _labeled_graphs, enumerate_connected_graphs, en
 from toughkit.recognition import (
     _chordal_verdict,
     _clawfree_verdict,
-    _induces_2k2,
-    _induces_cycle,
     _lex_min_chordless_cycle,
     _split_verdict,
     _twok2_verdict,
@@ -147,6 +146,34 @@ def test_split_partition_is_lex_least_maximum_clique():
             if want is not None:
                 assert cert.clique == frozenset(want)
                 assert cert.independent == frozenset(range(g.n)) - cert.clique
+
+
+def _first_split_obstruction_scan(g):
+    """The split witness as a subset scan found it: the smaller of the first
+    induced 2K2 or C4 among the 4-sets and the first C5 among the 5-sets."""
+    hits = []
+    for size in (4, 5):
+        for vs in combinations(range(g.n), size):
+            if _induces_cycle(g, vs) or _induces_2k2(g, vs):
+                hits.append(vs)
+                break
+    return min(hits)
+
+
+def test_split_witness_is_the_subset_scans():
+    rng = random.Random(17)
+    graphs = [g for n in range(7) for g in _labeled_graphs(n, connected_only=False)]
+    for _ in range(150):
+        n = rng.randint(7, 12)
+        p = rng.choice((0.2, 0.35, 0.5, 0.65, 0.8))
+        graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    rejected = 0
+    for g in graphs:
+        cert = is_split(g)
+        if not cert.verdict:
+            rejected += 1
+            assert cert.witness == _first_split_obstruction_scan(g), g
+    assert rejected == 23_512 + 141  # labeled n <= 6, then G(n, p)
 
 
 def test_split_iff_forbidden_free():

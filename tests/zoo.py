@@ -1,5 +1,5 @@
 """Named small graphs built from explicit edge lists, and a component
-count of the tests' own.
+count and induced-subgraph predicates of the tests' own.
 
 Kept independent of the package's family generators and component search so
 tests can use these as fixtures and oracles without circularity.
@@ -22,6 +22,24 @@ def omega(g, removed=()):
                     left.remove(w)
                     stack.append(w)
     return count
+
+
+def _induced_degrees(g, vs):
+    inside = sum(1 << v for v in set(vs))
+    return [(g._nbr[v] & inside).bit_count() for v in vs]
+
+
+def induces_cycle(g, vs):
+    """Whether g[vs] is one chordless cycle: every induced degree is 2 and
+    g[vs] is connected."""
+    if any(d != 2 for d in _induced_degrees(g, vs)):
+        return False
+    return omega(g, set(range(g.n)) - set(vs)) == 1
+
+
+def induces_2k2(g, vs):
+    """Whether g[vs] is a perfect matching, on four vertices a 2K2."""
+    return all(d == 1 for d in _induced_degrees(g, vs))
 
 
 def complete(n):
