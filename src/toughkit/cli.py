@@ -19,6 +19,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from . import __version__
 from .families import ClawfreeHalfFromTree, generate, parse_descriptor
@@ -206,7 +207,10 @@ def _cmd_scan(args, out) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared, unchanged, by
+    every later one; building it costs far more than one ``parse_args``."""
     parser = argparse.ArgumentParser(
         prog="toughkit",
         description="Exact graph toughness toolkit",
@@ -280,9 +284,8 @@ def run(argv: list[str], out=None) -> int:
     except ValueError as exc:
         print(f"toughkit: bad TOUGHKIT_CAP: {exc}", file=sys.stderr)
         return 2
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     args.cap = cap

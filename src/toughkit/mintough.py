@@ -4,10 +4,12 @@ A graph is minimally t-tough when its toughness is exactly t and deleting
 any single edge drops the toughness below t.  For every edge e of such a
 graph there is a witness: either e is a bridge, or some set S satisfies
 c(G-S) <= |S|/t and c((G-e)-S) > |S|/t, making e a bridge of G-S.  One
-search finds it, drawing S from every vertex (``edge_deletion_witness``)
-or from the endpoints' neighborhood (``twok2_neighborhood_witness``); the
-claw-free witness is its size-one case at t = 1/2.  It returns the
-smallest set, ties broken by lexicographically least vertex tuple.  Every
+search, ``_drop_set``, finds it, drawing S from every vertex
+(``edge_deletion_witness``) or from the endpoints' neighborhood
+(``twok2_neighborhood_witness``); the claw-free witness is its size-one
+case at t = 1/2.  It returns the smallest set, ties broken by
+lexicographically least vertex tuple; the minimal-toughness decision asks
+it the same question for every edge.  Every
 witness, found by a search or given by a formula, is built by
 ``_edge_witness``, the one place that states the rule and counts the
 components; ``EdgeWitness.holds`` checks a witness by rebuilding it.
@@ -20,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .graphs import Graph, component_count, mask_to_tuple, set_to_mask, set_to_str
-from .toughness import Toughness, _checked_set, _cutsets, toughness
+from .toughness import Toughness, _checked_set, _checked_t, _cutsets, toughness
 
 
 @dataclass(frozen=True)
@@ -68,9 +70,7 @@ def _edge_witness(
     taken from the graph.  ValueError unless t > 0, e is an edge, S lies in
     0..n-1 and misses both ends of e, and either S is empty and e is a
     bridge or c(G-S) <= |S|/t < c((G-e)-S) = c(G-S) + 1."""
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError("t must be positive")
+    t = _checked_t(t)
     _checked_edge(g, e)
     u, v = e
     vs = _checked_set(g, vertices)
@@ -89,47 +89,45 @@ def _edge_witness(
     return EdgeWitness(e, vs, False, before, after, bound)
 
 
-def _first_violating_cutset(
-    masks: tuple[int, ...], t: Fraction, pool: Sequence[int]
+def _drop_set(
+    g: Graph, t: Fraction, e: tuple[int, int], pool: Sequence[int]
 ) -> tuple[int, ...] | None:
-    """Smallest (size, then lex) cutset S drawn from ``pool`` of the
-    connected graph behind ``masks`` with c(S) > |S|/t."""
+    """The set showing that deleting the edge e of the connected g drops the
+    toughness below t: () when e is a bridge, else the smallest (size, then
+    lex) cutset S of G-e drawn from ``pool`` with c(S) > |S|/t, or None."""
+    minus = g.delete_edge(*e)._nbr
+    if component_count(minus, (1 << g.n) - 1) > 1:
+        return ()
     p, q = t.numerator, t.denominator
-    cutsets = _cutsets(masks, pool, lambda size: q * size // p + 1)
+    cutsets = _cutsets(minus, pool, lambda size: q * size // p + 1)
     return next((combo for combo, _ in cutsets), None)
 
 
 def is_minimally_t_tough(g: Graph, t: Fraction | int) -> bool:
     """Toughness equals t and every single-edge deletion drops it below t."""
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError("t must be positive")
+    t = _checked_t(t)
     return minimal_toughness_value(g) == t
 
 
 def minimal_toughness_value(g: Graph, tau: Toughness | None = None) -> Fraction | None:
     """The t for which g is minimally t-tough, or None; ``tau`` is tau(g) if known.
 
-    An edge drops the toughness when it is a bridge (g is connected) or
-    when G-e has a cutset S with c(S) > |S|/t; the search for S stops at
-    the first one.  It leaves out the edge's endpoints: if S holds one,
-    (G-e)-S = G-S, which has c(S) <= |S|/t since t = tau(g).  Queries do
-    not use the sweep's form ``tau(g - e) < t`` over a memo: on the
-    benchmark's single graphs with 14-18 vertices it took 10.2x as long in
-    all, and up to 35x on the circulants C_n(1,2).
+    ``_drop_set`` decides each edge: it drops the toughness when it is a
+    bridge (g is connected) or when G-e has a cutset S with c(S) > |S|/t,
+    and the search for S stops at the first one.  It leaves out the edge's
+    endpoints: if S holds one, (G-e)-S = G-S, which has c(S) <= |S|/t
+    since t = tau(g).  Queries do not use the sweep's form ``tau(g - e) <
+    t`` over a memo: on the benchmark's single graphs with 14-18 vertices
+    it took 10.2x as long in all, and up to 35x on the circulants C_n(1,2).
     """
     if tau is None:
         tau, _ = toughness(g)
     if not tau.is_finite:
         return None
     t = tau.value
-    full = (1 << g.n) - 1
     for u, v in g.edges():
-        masks = g.delete_edge(u, v)._nbr
         pool = tuple(x for x in range(g.n) if x != u and x != v)
-        if component_count(masks, full) == 1 and _first_violating_cutset(
-            masks, t, pool
-        ) is None:
+        if _drop_set(g, t, (u, v), pool) is None:
             return None
     return t
 
@@ -164,16 +162,11 @@ def _witness_search(
     """The shared per-edge search: the bridge witness, else the smallest
     violating cutset of G-e drawn from ``pool(u, v)``.  RuntimeError with
     ``missing`` (formatted with e and t) when the pool holds none."""
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError("t must be positive")
+    t = _checked_t(t)
     e = _checked_edge(g, e)
     if not g.is_connected():
         raise ValueError("graph is disconnected")
-    minus = g.delete_edge(*e)._nbr
-    if component_count(minus, (1 << g.n) - 1) > 1:  # e is a bridge
-        return _build_witness(g, e, t, ())
-    combo = _first_violating_cutset(minus, t, pool(*e))
+    combo = _drop_set(g, t, e, pool(*e))
     if combo is None:
         raise RuntimeError(missing.format(e=e, t=t))
     return _build_witness(g, e, t, combo)
@@ -207,8 +200,8 @@ def split_clique_edge_witness(
     (C minus {u, v}) union {w in I adjacent to both u and v}.
     An empty set means e is a bridge.
     """
-    if t is not None and Fraction(t) <= 0:
-        raise ValueError("t must be positive")
+    if t is not None:
+        t = _checked_t(t)
     C = frozenset(partition[0])
     I = frozenset(partition[1])
     u, v = e
@@ -232,7 +225,7 @@ def split_clique_edge_witness(
         if not tau.is_finite:
             raise ValueError("graph has no finite toughness")
         t = tau.value
-    return _build_witness(g, e, Fraction(t), tuple(sorted(s)))
+    return _build_witness(g, e, t, tuple(sorted(s)))
 
 
 def clawfree_half_witness(g: Graph, e: tuple[int, int]) -> EdgeWitness:

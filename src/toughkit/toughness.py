@@ -139,6 +139,14 @@ def _checked_set(g: Graph, vertices: Iterable[int]) -> frozenset[int]:
     return vs
 
 
+def _checked_t(t: Fraction | int) -> Fraction:
+    """t as a fraction; ValueError unless it is positive."""
+    t = Fraction(t)
+    if t <= 0:
+        raise ValueError("t must be positive")
+    return t
+
+
 def witness_for(g: Graph, vertices: Iterable[int]) -> WitnessSet:
     """Build the WitnessSet for an explicit cutset (errors if not a cutset,
     or if a vertex lies outside the graph)."""
@@ -230,11 +238,10 @@ def _cutsets(
     that P passed over; L is the pool vertices after i.  The walk keeps the
     component masks of G[K] and N(K) as vertices join K.  The third bound
     with pool[i] counted in L never grows with i, so once it falls short
-    the rest of the loop goes.  From the first walking size on, the scan
-    also ends once the need exceeds alpha(G), as c(G - S) <= alpha(G), and
-    skips a size s where D_s - s + 1 falls short of it.  alpha(G), the pool
-    degrees, D, the pool vertices past each index and the components and
-    neighbourhood of the vertices outside the pool are built once, there.
+    the rest of the loop goes.  The pool degrees, D, the pool vertices past
+    each index and the components and neighbourhood of the vertices outside
+    the pool are built once, at the first walking size.
+
     Measured on this engine, thresholds from 0 to 1,000 time alike on the
     14-18 vertex queries, where the walk halves the search time, but on
     small graphs a walk step costs as much as the count it saves.  Walking
@@ -242,15 +249,15 @@ def _cutsets(
     connected graphs with n <= 6 counted 360,049 subsets instead of
     861,121, yet under cProfile the walk's own steps took 1.57 s against
     the 1.52 s of counting saved, and CPU time rose from 2.60 to 2.85 s
-    (medians of 5 runs); skipping alpha(G) did not close the gap.  At 200
-    every sweep scan (n <= 8, at most 70 subsets a size) and n = 9 keep the
-    loop.
+    (medians of 5 runs); a walk without the exact alpha(G) it then computed
+    did not close the gap.  At 200 every sweep scan (n <= 8, at most 70
+    subsets a size) and n = 9 keep the loop.
     """
     n, m = len(nbr), len(pool)
     full = (1 << n) - 1
     k = 1
     alpha_sums = None
-    alpha = None  # alpha(G), once the scan walks
+    walk = None  # made, with its tables, at the first walking size
     for size in range(1, m + 1):
         least = max(need(size), 2)
         if least > n - size:
@@ -260,8 +267,7 @@ def _cutsets(
                 alpha_sums = _alpha_sums(nbr)
             if alpha_sums[size] // k < least:
                 continue
-        if alpha is None and comb(m, size) > _WALK_ABOVE:
-            alpha = _independence_number(nbr, full)
+        if walk is None and comb(m, size) > _WALK_ABOVE:
             degs = [nbr[v].bit_count() for v in pool]
             top = list(accumulate(sorted(degs, reverse=True), initial=0))
             after = [0] * m  # after[i]: the pool vertices past index i
@@ -316,7 +322,7 @@ def _cutsets(
                         if omega >= least:
                             yield chosen + (v,), omega
         cut_seen = False
-        if alpha is None:
+        if walk is None:
             for combo in combinations(pool, size):
                 removed = 0
                 for v in combo:
@@ -326,17 +332,13 @@ def _cutsets(
                     cut_seen = True
                     if omega >= least:
                         yield combo, omega
-        elif least > alpha:
-            return
-        elif top[size] - size + 1 < least:
-            continue
         else:
             bound = 2 if k == size else least
             # prune unless k * bound <= deg(S) - 2e(S) and bound <= deg(S)
             # - e(S) - |S| + 1 can hold
             cross, spare = k * bound, bound + size - 1
             yield from walk(0, (), 0, 0, 0, size - 1, outside_comps, outside_reach)
-        if not cut_seen and (alpha is None or bound == 2):
+        if not cut_seen and (walk is None or bound == 2):
             k = size + 1
 
 
@@ -353,14 +355,12 @@ def toughness(g: Graph) -> tuple[Toughness, WitnessSet | None]:
     n = g.n
     if g.is_complete():
         return Toughness.infinite(), None
-    nbr = g._nbr
-    omega0 = component_count(nbr, (1 << n) - 1)
-    if omega0 >= 2:
-        return Toughness.zero(), WitnessSet(frozenset(), 0, omega0, Fraction(0))
+    if not g.is_connected():
+        return Toughness.zero(), witness_for(g, ())
     best_num, best_den = n, 1  # ratio n/1 beats any real cutset ratio
     best_set: tuple[int, ...] = ()
     for combo, omega in _cutsets(
-        nbr, range(n), lambda size: size * best_den // best_num + 1
+        g._nbr, range(n), lambda size: size * best_den // best_num + 1
     ):
         if len(combo) * best_den < best_num * omega:
             best_num, best_den = len(combo), omega
@@ -406,21 +406,16 @@ def is_t_tough(g: Graph, t: Fraction | int) -> tuple[bool, WitnessSet | None]:
     lexicographically least vertex tuple.  With t = p/q, ``_cutsets`` is
     asked at size s for more than (best score + q*s)/p components.
     """
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    n = g.n
+    t = _checked_t(t)
     if g.is_complete():
         return True, None
-    nbr = g._nbr
-    omega0 = component_count(nbr, (1 << n) - 1)
-    if omega0 >= 2:
-        return False, WitnessSet(frozenset(), 0, omega0, Fraction(0))
+    if not g.is_connected():
+        return False, witness_for(g, ())
     p, q = t.numerator, t.denominator
     best_score = 0  # p*omega - q*size, positive = violation
     best: WitnessSet | None = None
     for combo, omega in _cutsets(
-        nbr, range(n), lambda size: (best_score + q * size) // p + 1
+        g._nbr, range(g.n), lambda size: (best_score + q * size) // p + 1
     ):
         size = len(combo)
         score = p * omega - q * size
@@ -459,9 +454,7 @@ def validate_tough_set(
     an integer or t = 1/2, where "exactly one" applies).  Returns the
     verdict plus diagnostics for every failed condition.
     """
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError("t must be positive")
+    t = _checked_t(t)
     vs = _checked_set(g, s.vertices if isinstance(s, WitnessSet) else s)
     full = (1 << g.n) - 1
     removed = set_to_mask(vs)

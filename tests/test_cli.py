@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import os
@@ -6,6 +7,7 @@ import re
 import resource
 import subprocess
 import sys
+import tempfile
 from itertools import combinations
 from pathlib import Path
 
@@ -462,15 +464,42 @@ def test_graph6_file_header_accepted():
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.sampled_from(["toughness", "classify", "min-tough"]),
-    st.one_of(
-        st.text(max_size=12),
-        st.text(alphabet="0123456789 \n-#?@ABC_~>graph<", max_size=12),
+    st.sampled_from(
+        ["toughness", "classify", "min-tough", "is-tough", "witness", "verify", "scan"]
     ),
+    st.one_of(
+        st.text(max_size=24),
+        st.text(alphabet="0123456789 \n-#?@ABC_~>graph<", max_size=24),
+    ),
+    st.one_of(st.text(alphabet="0123456789/-", max_size=6), st.text(max_size=8)),
 )
-def test_cli_never_raises_on_short_input(command, text):
-    code, _ = run_cli([command], stdin_text=text)
+def test_cli_never_raises_on_short_input(command, text, arg):
+    # the graph comes on stdin, or for the sweeps from a file; is-tough's t
+    # and witness's edge are fuzzed too
+    if command in ("verify", "scan"):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "corpus")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            suite = ["all"] if command == "verify" else []
+            code, _ = run_cli([command, *suite, "--source", path])
+    else:
+        args = [arg] if command in ("is-tough", "witness") else []
+        code, _ = run_cli([command, *args], stdin_text=text)
     assert code in (0, 1, 2)
+
+
+def test_run_builds_its_parser_once(monkeypatch):
+    assert run_cli(["toughness"], stdin_text="Cl\n")[0] == 0
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("run built a second parser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert run_cli(["toughness"], stdin_text="Cl\n") == (
+        0, "1\nwitness {0,2} |S|=2 components=2\n"
+    )
+    assert run_cli(["frobnicate"])[0] == 2
 
 
 def test_version_and_usage():

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,12 +13,15 @@ from toughkit import (
     edge_deletion_witness,
     generate,
     is_minimally_t_tough,
+    is_t_tough,
     minimal_toughness_value,
     split_clique_edge_witness,
     toughness,
     twok2_neighborhood_witness,
+    validate_tough_set,
 )
 from toughkit.enumeration import _labeled_graphs, enumerate_trees
+from toughkit.mintough import _edge_witness
 from toughkit.recognition import _twok2_verdict
 
 F = Fraction
@@ -224,6 +228,49 @@ def test_witness_searches_reject_endpoints_outside_the_graph(e):
     for call in calls:
         with pytest.raises(ValueError, match=r"is not an edge"):
             call()
+
+
+@pytest.mark.parametrize("t", [0, -1, F(-1, 2)])
+def test_every_t_taking_entry_point_rejects_t_at_most_zero(t):
+    c4 = zoo.cycle(4)
+    calls = (
+        lambda: is_t_tough(c4, t),
+        lambda: validate_tough_set(c4, [0, 2], t),
+        lambda: _edge_witness(c4, t, (0, 1), [2]),
+        lambda: is_minimally_t_tough(c4, t),
+        lambda: edge_deletion_witness(c4, t, (0, 1)),
+        lambda: twok2_neighborhood_witness(c4, t, (0, 1)),
+        lambda: split_clique_edge_witness(zoo.net(), ({0, 1, 2}, {3, 4, 5}), (0, 1), t),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^t must be positive$"):
+            call()
+
+
+def test_per_edge_scans_work(monkeypatch):
+    # deciding that C_16(1,2) is minimally 2-tough scans each G - e with
+    # 4,959 component counts and no independence number; an exact alpha(G)
+    # built at each scan's first walking size cost 2,085 calls here.  Past
+    # either budget its counter raises
+    module = importlib.import_module("toughkit.toughness")
+    g = zoo.circulant(16, (1, 2))
+    tau, _ = toughness(g)
+    calls = {"component_count": 0, "_independence_number": 0}
+    budgets = {"component_count": 4_959, "_independence_number": 0}
+
+    def counter(name):
+        plain = getattr(module, name)
+
+        def counted(nbr, pool):
+            calls[name] += 1
+            assert calls[name] <= budgets[name], f"{name} ran past its budget"
+            return plain(nbr, pool)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(module, name, counter(name))
+    assert minimal_toughness_value(g, tau) == 2
 
 
 def test_clawfree_half_witness_on_family():
