@@ -8,9 +8,10 @@ search, ``_drop_set``, finds it, drawing S from every vertex
 (``edge_deletion_witness``) or from the endpoints' neighborhood
 (``twok2_neighborhood_witness``); the claw-free witness is its size-one
 case at t = 1/2.  It returns the smallest set, ties broken by
-lexicographically least vertex tuple; the minimal-toughness decision asks
-it the same question for every edge.  Every
-witness, found by a search or given by a formula, is built by
+lexicographically least vertex tuple.  The minimal-toughness decision asks
+it for every edge uv at t = tau(G), where only sets that separate u from v
+can answer, and scans only those.  Every witness, found by a search or
+given by a formula, is built by
 ``_edge_witness``, the one place that states the rule and counts the
 components; ``EdgeWitness.holds`` checks a witness by rebuilding it.
 """
@@ -90,7 +91,8 @@ def _edge_witness(
 
 
 def _drop_set(
-    g: Graph, t: Fraction, e: tuple[int, int], pool: Sequence[int]
+    g: Graph, t: Fraction, e: tuple[int, int], pool: Sequence[int],
+    apart: tuple[int, int] | None = None,
 ) -> tuple[int, ...] | None:
     """The set showing that deleting the edge e of the connected g drops the
     toughness below t: () when e is a bridge, else the smallest (size, then
@@ -99,7 +101,7 @@ def _drop_set(
     if component_count(minus, (1 << g.n) - 1) > 1:
         return ()
     p, q = t.numerator, t.denominator
-    cutsets = _cutsets(minus, pool, lambda size: q * size // p + 1)
+    cutsets = _cutsets(minus, pool, lambda size: q * size // p + 1, apart)
     return next((combo for combo, _ in cutsets), None)
 
 
@@ -114,11 +116,13 @@ def minimal_toughness_value(g: Graph, tau: Toughness | None = None) -> Fraction 
 
     ``_drop_set`` decides each edge: it drops the toughness when it is a
     bridge (g is connected) or when G-e has a cutset S with c(S) > |S|/t,
-    and the search for S stops at the first one.  It leaves out the edge's
-    endpoints: if S holds one, (G-e)-S = G-S, which has c(S) <= |S|/t
-    since t = tau(g).  Queries do not use the sweep's form ``tau(g - e) <
-    t`` over a memo: on the benchmark's single graphs with 14-18 vertices
-    it took 10.2x as long in all, and up to 35x on the circulants C_n(1,2).
+    and the search for S stops at the first one.  As t = tau(g), each
+    cutset S of g has c(G-S) <= |S|/t, so S must make e = uv a bridge of
+    G-S: the search leaves out u and v and scans only the sets that
+    separate them in G-e (``apart``), since any other S has c((G-e)-S) =
+    c(G-S).  At t > tau(g) this fails: a cutset with c(G-S) > |S|/t meets
+    the need.  Queries do not use the sweep's form ``tau(g - e) < t`` over
+    a memo, which took 10.2x as long on the benchmark's 14-18 vertex graphs.
     """
     if tau is None:
         tau, _ = toughness(g)
@@ -127,7 +131,7 @@ def minimal_toughness_value(g: Graph, tau: Toughness | None = None) -> Fraction 
     t = tau.value
     for u, v in g.edges():
         pool = tuple(x for x in range(g.n) if x != u and x != v)
-        if _drop_set(g, t, (u, v), pool) is None:
+        if _drop_set(g, t, (u, v), pool, apart=(u, v)) is None:
             return None
     return t
 

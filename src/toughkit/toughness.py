@@ -192,13 +192,13 @@ def _alpha_sums(nbr: Sequence[int]) -> list[int]:
     return list(accumulate(alphas, initial=0))
 
 
-# From the first size with more subsets than this, ``_cutsets`` walks; see
-# its docstring for the measurement behind the value.
+# ``_cutsets`` walks from the first size with more subsets than this.
 _WALK_ABOVE = 200
 
 
 def _cutsets(
-    nbr: Sequence[int], pool: Sequence[int], need: Callable[[int], int]
+    nbr: Sequence[int], pool: Sequence[int], need: Callable[[int], int],
+    apart: tuple[int, int] | None = None,
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """(S, c(G - S)) for cutsets S of the connected graph behind ``nbr``,
     drawn from ``pool`` by size and then lexicographically.
@@ -214,6 +214,12 @@ def _cutsets(
     C of G - S, any s-set between N(C) and S would be such a cutset.  The
     alpha sums are built the first time a size needs more than two
     components, the fewest any cutset leaves.
+
+    With ``apart`` = (a, b), nonadjacent and outside the pool, only cutsets
+    leaving a and b in different components are yielded, and k stays 1: a
+    size without one proves nothing about k.  Each holds W = N(a) & N(b),
+    as a-w-b is a path, so the plain loop counts only subsets holding W,
+    and none if the pool misses part of it.
 
     Sizes before the first with more than ``_WALK_ABOVE`` subsets count
     every subset.  From that size on, ``walk`` scans each size depth first
@@ -238,27 +244,34 @@ def _cutsets(
     that P passed over; L is the pool vertices after i.  The walk keeps the
     component masks of G[K] and N(K) as vertices join K.  The third bound
     with pool[i] counted in L never grows with i, so once it falls short
-    the rest of the loop goes.  The pool degrees, D, the pool vertices past
-    each index and the components and neighbourhood of the vertices outside
-    the pool are built once, at the first walking size.
+    the rest of the loop goes, as it does once a component of G[K] holds
+    both vertices of ``apart``.
 
     Measured on this engine, thresholds from 0 to 1,000 time alike on the
-    14-18 vertex queries, where the walk halves the search time, but on
-    small graphs a walk step costs as much as the count it saves.  Walking
-    every size, ``toughness`` and ``is_t_tough(G, 1)`` over the labeled
-    connected graphs with n <= 6 counted 360,049 subsets instead of
-    861,121, yet under cProfile the walk's own steps took 1.57 s against
-    the 1.52 s of counting saved, and CPU time rose from 2.60 to 2.85 s
-    (medians of 5 runs); a walk without the exact alpha(G) it then computed
-    did not close the gap.  At 200 every sweep scan (n <= 8, at most 70
-    subsets a size) and n = 9 keep the loop.
+    14-18 vertex queries, but on small graphs a walk step costs as much as
+    the count it saves.  Walking every size, ``toughness`` and
+    ``is_t_tough(G, 1)`` over the labeled connected graphs with n <= 6
+    counted 360,049 subsets instead of 861,121, yet CPU time rose from 2.60
+    to 2.85 s (medians of 5 runs).  At 200 every sweep scan (n <= 8, at
+    most 70 subsets a size) and n = 9 keep the loop.
     """
     n, m = len(nbr), len(pool)
     full = (1 << n) - 1
     k = 1
+    shared, free, ends = 0, pool, -1  # mask & -1 == -1 holds for no mask
+    if apart is not None:
+        shared, ends = nbr[apart[0]] & nbr[apart[1]], 1 << apart[0] | 1 << apart[1]
+        free = [v for v in pool if not shared >> v & 1]
+        if m - len(free) < shared.bit_count():
+            return  # a common neighbour outside the pool joins a and b
+
+    def separated(removed):
+        return apart is None or all(
+            c & ends != ends for c in component_masks(nbr, full ^ removed))
+
     alpha_sums = None
     walk = None  # made, with its tables, at the first walking size
-    for size in range(1, m + 1):
+    for size in range(max(shared.bit_count(), 1), m + 1):
         least = max(need(size), 2)
         if least > n - size:
             return
@@ -282,9 +295,8 @@ def _cutsets(
             def walk(start, chosen, removed, deg, inner, left, kept, reach):
                 # the cutsets of this size that add ``left`` + 1 vertices from
                 # pool[start:] to ``chosen``; kept: the component masks of G[K];
-                # reach: N(K).  Made here, once a scan walks: made on every
-                # call, plain scans included, it slowed the n <= 6 scans by
-                # 5-7%
+                # reach: N(K).  Made once a scan walks: made on every call
+                # it slowed the n <= 6 scans by 5-7%
                 nonlocal cut_seen
                 for i in range(start, m - left):
                     if i > start:  # pool[i - 1] was passed over and joins K
@@ -296,6 +308,8 @@ def _cutsets(
                                 merged |= comp
                             else:
                                 rest.append(comp)
+                        if merged & ends == ends:
+                            return  # a and b share a component of G[K]
                         rest.append(merged)
                         kept = rest
                         reach |= nu
@@ -319,18 +333,20 @@ def _cutsets(
                     omega = component_count(nbr, full ^ removed ^ 1 << v)
                     if omega >= 2:
                         cut_seen = True
-                        if omega >= least:
+                        if omega >= least and separated(removed | 1 << v):
                             yield chosen + (v,), omega
         cut_seen = False
         if walk is None:
-            for combo in combinations(pool, size):
-                removed = 0
+            for combo in combinations(free, size - shared.bit_count()):
+                removed = shared
                 for v in combo:
                     removed |= 1 << v
                 omega = component_count(nbr, full ^ removed)
                 if omega >= 2:
                     cut_seen = True
-                    if omega >= least:
+                    if omega >= least and separated(removed):
+                        if shared:
+                            combo = tuple(v for v in pool if removed >> v & 1)
                         yield combo, omega
         else:
             bound = 2 if k == size else least
@@ -338,7 +354,7 @@ def _cutsets(
             # - e(S) - |S| + 1 can hold
             cross, spare = k * bound, bound + size - 1
             yield from walk(0, (), 0, 0, 0, size - 1, outside_comps, outside_reach)
-        if not cut_seen and (walk is None or bound == 2):
+        if apart is None and not cut_seen and (walk is None or bound == 2):
             k = size + 1
 
 

@@ -28,6 +28,7 @@ from toughkit import (
     parse_graph6,
 )
 from toughkit.cli import run
+from toughkit.enumeration import enumerate_trees
 
 
 def run_cli(argv, stdin_text="", env_cap=None, monkeypatch=None):
@@ -462,20 +463,41 @@ def test_graph6_file_header_accepted():
         assert run_cli(argv, stdin_text=">>graph6<<Cl\n") == plain
 
 
-@settings(max_examples=150, deadline=None)
+# generate's descriptors: a family name, clawhalf among them, and a short
+# argument; "clawhalf:-" reads its tree from stdin
+DESCRIPTORS = st.builds(
+    "{}:{}".format,
+    st.sampled_from(
+        ["star", "path", "cycle", "doublestar", "splittriangle", "clawhalf", "Cycle", "tree"]
+    ),
+    st.one_of(st.just("-"), st.text(alphabet="0123456789,- ", max_size=5)),
+)
+# graph6 lines of the trees on 1-7 vertices, so that clawhalf:- and the
+# single-graph commands also meet well-formed input
+TREE_LINES = [encode_graph6(t) + "\n" for n in range(1, 8) for t in enumerate_trees(n)]
+
+
+@settings(max_examples=250, deadline=None)
 @given(
     st.sampled_from(
-        ["toughness", "classify", "min-tough", "is-tough", "witness", "verify", "scan"]
+        ["toughness", "classify", "min-tough", "is-tough", "witness", "verify", "scan",
+         "generate"]
     ),
     st.one_of(
         st.text(max_size=24),
         st.text(alphabet="0123456789 \n-#?@ABC_~>graph<", max_size=24),
+        st.sampled_from(TREE_LINES),
     ),
     st.one_of(st.text(alphabet="0123456789/-", max_size=6), st.text(max_size=8)),
+    DESCRIPTORS,
 )
-def test_cli_never_raises_on_short_input(command, text, arg):
-    # the graph comes on stdin, or for the sweeps from a file; is-tough's t
-    # and witness's edge are fuzzed too
+def test_cli_never_raises_on_short_input(command, text, arg, descriptor):
+    # the graph comes on stdin, or for the sweeps from a file; is-tough's t,
+    # witness's edge and generate's descriptor are fuzzed too
+    if command == "generate":
+        code, _ = run_cli([command, descriptor], stdin_text=text)
+        assert code in (0, 1, 2)
+        return
     if command in ("verify", "scan"):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "corpus")

@@ -1,4 +1,5 @@
 import importlib
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,7 +21,11 @@ from toughkit import (
     twok2_neighborhood_witness,
     validate_tough_set,
 )
-from toughkit.enumeration import _labeled_graphs, enumerate_trees
+from toughkit.enumeration import (
+    _labeled_graphs,
+    enumerate_connected_graphs,
+    enumerate_trees,
+)
 from toughkit.mintough import _edge_witness
 from toughkit.recognition import _twok2_verdict
 
@@ -82,6 +87,56 @@ def test_paw_edge_deletion_keeps_toughness():
 def test_agrees_with_definition_exhaustive_n5():
     for g in _labeled_graphs(5, connected_only=True):
         assert minimal_toughness_value(g) == brute_force_minimal(g)
+
+
+def test_agrees_with_definition_on_every_class_up_to_7():
+    # the decision scans only the sets that separate each edge's ends; the
+    # definition recomputes tau(G - e) for every edge.  996 classes, 853 of
+    # them at n = 7
+    classes = 0
+    for n in range(1, 8):
+        for g in enumerate_connected_graphs(n, dedup=True):
+            classes += 1
+            assert minimal_toughness_value(g) == brute_force_minimal(g), g
+    assert classes == 996
+
+
+def _dense_gnp(n, p, seed):
+    rng = random.Random(seed)
+    return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+@pytest.mark.parametrize(
+    "g, value, budget",
+    [
+        # scanning every set of V - {u, v} made 4,959, 22,939 and 620
+        # counts; without the plain loop's common-neighbour skip the scans
+        # made 4,349, 15,198 and 327, and without the walk's return once
+        # G[K] joins u and v, 1,839, 16,651 and 156
+        (zoo.circulant(16, (1, 2)), F(2), 1_229),
+        (zoo.circulant(16, (1, 2, 3)), F(3), 9_572),
+        (_dense_gnp(16, 0.6, 5), None, 156),
+    ],
+    ids=["C16(1,2)", "C16(1,2,3)", "G(16,0.6)"],
+)
+def test_separating_scan_work(monkeypatch, g, value, budget):
+    # the per-edge scans of the minimal-toughness decision count only sets
+    # that hold the common neighbours of the edge's ends, and the walk stops
+    # once its kept vertices join them; each budget is the count the scans
+    # make, and the counter raises past it
+    tau, _ = toughness(g)
+    module = importlib.import_module("toughkit.toughness")
+    calls = 0
+    count = module.component_count
+
+    def counted(nbr, pool):
+        nonlocal calls
+        calls += 1
+        assert calls <= budget, "per-edge scans ran past their component-count budget"
+        return count(nbr, pool)
+
+    monkeypatch.setattr(module, "component_count", counted)
+    assert minimal_toughness_value(g, tau) == value
 
 
 def test_trees_are_minimally_inverse_max_degree():

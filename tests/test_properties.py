@@ -14,7 +14,7 @@ leave vertices out of a dense G(16, 0.6) less an edge.
 import importlib
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -142,9 +142,9 @@ def test_invariants_survive_relabeling(g, data):
     assert minimal_toughness_value(h) == minimal_toughness_value(g)
 
 
-THRESHOLDS = st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
-                              Fraction(1), Fraction(3, 2), Fraction(2),
-                              Fraction(5, 2), Fraction(3)])
+THRESHOLD_VALUES = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1),
+                    Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3)]
+THRESHOLDS = st.sampled_from(THRESHOLD_VALUES)
 
 
 def _expected_edge_witness(g, t, e, pool):
@@ -258,9 +258,9 @@ def _driven(scan, nbr, pool, caller, t):
 
 
 @st.composite
-def gnp(draw, min_n, max_n):
+def gnp(draw, min_n, max_n, densities=(0.2, 0.3, 0.4, 0.5, 0.6, 0.7)):
     n = draw(st.integers(min_n, max_n))
-    p = draw(st.sampled_from([0.2, 0.3, 0.4, 0.5, 0.6, 0.7]))
+    p = draw(st.sampled_from(densities))
     edges = [e for e in combinations(range(n), 2) if draw(st.floats(0, 1)) < p]
     return Graph(n, edges)
 
@@ -336,6 +336,58 @@ def test_walk_on_restricted_pools_yields_the_combinations_scan(monkeypatch, call
         walked = _driven(_cutsets_under_test, minus._nbr, pool, caller, t)
         assert walked == _driven(_combinations_cutsets, minus._nbr, pool, caller, t)
         assert work[0] < work[1]  # the walk dropped sets, so it ran
+
+
+@st.composite
+def dense_circulants(draw, min_n, max_n):
+    # C_n(1,2) and C_n(1,2,3): the common neighbours of an edge's ends are
+    # the ones every separating set must hold
+    n = draw(st.integers(min_n, max_n))
+    steps = draw(st.sampled_from([(1, 2), (1, 2, 3)]))
+    edges = {tuple(sorted((i, (i + d) % n))) for i in range(n) for d in steps}
+    return _relabeled(draw, n, edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(dense_circulants(11, 16), gnp(11, 16, (0.3, 0.45, 0.6, 0.75))),
+    st.data(),
+)
+def test_separating_scan_yields_the_separating_combinations(g, data):
+    # with apart = (u, v), the scan of V - {u, v} in G - uv yields exactly
+    # the reference's sets that leave u and v apart, i.e. that make uv a
+    # bridge of G - S, in the same order, at every threshold's per-edge
+    # need; from 12 vertices on the larger sizes take the walk
+    assume(g.is_connected())
+    u, v = data.draw(st.sampled_from(g.edges()))
+    minus = g.delete_edge(u, v)
+    assume(minus.is_connected())
+    pools = [[x for x in range(g.n) if x not in (u, v)]]
+    shared = set(g.neighbors(u)) & set(g.neighbors(v))
+    if shared:  # a pool without a common neighbour separates nothing
+        pools.append([x for x in pools[0] if x != min(shared)])
+    for pool, t in product(pools, THRESHOLD_VALUES):
+        p, q = t.numerator, t.denominator
+
+        def need(size):
+            return q * size // p + 1
+
+        expected = [
+            (vs, c)
+            for vs, c in _combinations_cutsets(minus._nbr, pool, need)
+            if zoo.omega(g, vs) < c
+        ]
+        assert list(_cutsets_under_test(minus._nbr, pool, need, (u, v))) == expected
+
+
+def test_separating_scan_keeps_k_at_one():
+    # in G - 12, {3} = N(1) & N(2) is no cutset and every other 1-set misses
+    # it; were k raised to 2 after size 1, A_2 // 2 < 3 would skip size 2
+    # and lose {0,3}, which leaves 3 components at t = 1
+    g = Graph(6, [(0, 2), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3)])
+    minus = g.delete_edge(1, 2)
+    scan = _cutsets_under_test(minus._nbr, [0, 3, 4, 5], lambda size: size + 1, (1, 2))
+    assert list(scan) == [((0, 3), 3)]
 
 
 def _alpha_by_brute_force(g):
