@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import MAX_VERTEX_CAP, Graph, blocks, bridges, component_count
+from .graphs import MAX_VERTEX_CAP, Graph, blocks, bridges
 from .recognition import _clawfree_verdict, _twok2_verdict
 from .toughness import Toughness, toughness
 
@@ -275,8 +275,7 @@ def split_expand(g: Graph, e: tuple[int, int]) -> Graph:
     if not g.has_edge(u, v):
         raise ValueError(f"({u},{v}) is not an edge")
     e = (u, v) if u < v else (v, u)
-    full = (1 << g.n) - 1
-    if component_count(g.delete_edge(*e)._nbr, full) > component_count(g._nbr, full):
+    if e in bridges(g):
         raise ValueError(f"edge {e} is a bridge")
     return delete_and_complete(g, e)
 

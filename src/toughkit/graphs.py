@@ -206,38 +206,15 @@ def component_masks(nbr: Sequence[int], pool: int) -> list[int]:
 
 
 # -- bridges and blocks --------------------------------------------------------
-# Both come from the components of G - c for each cut vertex c, a vertex
-# whose removal leaves more components than G has.
-
-
-def _cut_vertex_components(g: Graph) -> tuple[int, dict[int, list[int]]]:
-    """c(G), and the component masks of G - c for every cut vertex c."""
-    full = (1 << g.n) - 1
-    ncomp = component_count(g._nbr, full)
-    cuts = {}
-    for c in range(g.n):
-        if g._nbr[c] & (g._nbr[c] - 1):  # a vertex of degree <= 1 never cuts
-            masks = component_masks(g._nbr, full ^ (1 << c))
-            if len(masks) > ncomp:
-                cuts[c] = masks
-    return ncomp, cuts
 
 
 def bridges(g: Graph) -> frozenset[tuple[int, int]]:
-    """Edges whose removal increases the number of components.
-
-    uv is a bridge iff N(u) = {v}, or u is a cut vertex and the component of
-    G - u holding v meets N(u) only in v.
-    """
-    _, cuts = _cut_vertex_components(g)
-    out = set()
-    for u, v in g.edges():
-        nu = g._nbr[u]
-        if nu == 1 << v or (
-            u in cuts and next(m for m in cuts[u] if m >> v & 1) & nu == 1 << v
-        ):
-            out.add((u, v))
-    return frozenset(out)
+    """Edges whose removal increases the number of components."""
+    full = (1 << g.n) - 1
+    ncomp = component_count(g._nbr, full)
+    return frozenset(
+        e for e in g.edges() if component_count(g.delete_edge(*e)._nbr, full) > ncomp
+    )
 
 
 class BlockDecomposition(NamedTuple):
@@ -253,12 +230,18 @@ def blocks(g: Graph) -> BlockDecomposition:
     edge uv is the intersection, over the cut vertices c, of c plus the
     component of G - c that holds u (v when c = u).
     """
-    ncomp, cuts = _cut_vertex_components(g)
-    if ncomp > 1:
+    full = (1 << g.n) - 1
+    if component_count(g._nbr, full) > 1:
         raise ValueError("graph is disconnected")
+    cuts = {}
+    for c in range(g.n):
+        if g._nbr[c] & (g._nbr[c] - 1):  # a vertex of degree <= 1 never cuts
+            masks = component_masks(g._nbr, full ^ (1 << c))
+            if len(masks) > 1:
+                cuts[c] = masks
     found = set()
     for u, v in g.edges():
-        block = (1 << g.n) - 1
+        block = full
         for c, masks in cuts.items():
             x = v if c == u else u
             for m in masks:

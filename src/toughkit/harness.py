@@ -3,7 +3,7 @@ graphs, emitting deterministic machine-readable reports.
 
 A source is either an enumeration of all small connected graphs or a
 stream of graph6 lines.  Every graph is classified once (exact toughness,
-minimal toughness, bridges, class memberships) and each requested suite
+minimal toughness, class memberships) and each requested suite
 evaluates its predicate against the classification with exact arithmetic.
 Reports are byte-stable: records are sorted canonically and elapsed time is
 kept out of the payload.
@@ -11,10 +11,11 @@ kept out of the payload.
 Both sweeps, ``run_suites`` and ``scan_minimally_tough``, read the source
 through one stream, ``_classified``, which owns the sweep's toughness memo
 (keyed by the adjacency-mask tuple) and collects the malformed lines.
-``classify`` and T20 ask the memo for the toughness of g, of g - e and of
-split expansions, so every graph's toughness is searched for once per sweep:
-in a labeled sweep all of those graphs are themselves enumerated.  The memo
-is dropped when the stream ends; nothing is cached across calls.
+``classify`` and T20 ask the memo for the toughness of g, of each connected
+g - e and of split expansions, so every graph's toughness is searched for
+once per sweep: in a labeled sweep all of those graphs are themselves
+enumerated.  The memo is dropped when the stream ends; nothing is cached
+across calls.
 
 Suites (all checked with exact rational arithmetic):
 
@@ -53,7 +54,7 @@ from .families import (
     recognize_split_min_tough,
 )
 from .graph6 import DEFAULT_VERTEX_CAP, Graph6Error, check_cap, encode_graph6, parse_graph6
-from .graphs import Graph, bridges, component_masks, set_to_str, simplicial_vertices
+from .graphs import Graph, component_masks, set_to_str, simplicial_vertices
 from .mintough import (
     clawfree_half_witness,
     edge_deletion_witness,
@@ -160,10 +161,8 @@ class _ToughnessMemo:
 
 class _Record(NamedTuple):
     g: Graph
-    connected: bool
-    tau: Toughness
+    tau: Toughness  # zero exactly when g is disconnected
     t: Fraction | None  # minimal toughness value, None if not minimally tough
-    bridges: frozenset[tuple[int, int]]
     chordal: bool
     split: bool
     clawfree: bool
@@ -179,22 +178,20 @@ def classify(g: Graph, tau_of: Callable[[Graph], Toughness]) -> _Record:
     """One-pass classification shared by every suite.
 
     ``tau_of`` is the sweep's toughness memo.  g is minimally t-tough,
-    t = tau(g), when every edge is a bridge or its deletion drops the
-    toughness below t.
+    t = tau(g), when deleting any edge disconnects g or drops the toughness
+    below t; the memo never sees a disconnected g - e, which is no sweep graph.
     """
     tau = tau_of(g)
-    bridge_set = bridges(g)
     t: Fraction | None = None
     if tau.is_finite and all(
-        e in bridge_set or tau_of(g.delete_edge(*e)) < tau for e in g.edges()
+        not minus.is_connected() or tau_of(minus) < tau
+        for minus in (g.delete_edge(*e) for e in g.edges())
     ):
         t = tau.value
     return _Record(
         g,
-        g.is_connected(),
         tau,
         t,
-        bridge_set,
         _chordal_verdict(g),
         _split_verdict(g),
         _clawfree_verdict(g),
@@ -306,7 +303,7 @@ def _suite_t11(rec: _Record) -> tuple[list[str], list[str]]:
 
 
 def _suite_t12(rec: _Record) -> tuple[list[str], list[str]]:
-    if not (rec.clawfree and rec.connected and not rec.g.is_complete()):
+    if not (rec.clawfree and rec.tau.is_finite):  # connected and noncomplete
         return [], []
     # the size-ordered scan meets its first cutset at size kappa, as did the
     # toughness search classify already ran, so this costs no more than that
@@ -318,7 +315,7 @@ def _suite_t12(rec: _Record) -> tuple[list[str], list[str]]:
 
 
 def _suite_t16(rec: _Record) -> tuple[list[str], list[str]]:
-    if not (rec.clawfree and rec.connected):
+    if not (rec.clawfree and not rec.tau.is_zero):
         return [], []
     minimal_one = rec.t == ONE
     cycle = is_long_cycle(rec.g)
@@ -328,7 +325,7 @@ def _suite_t16(rec: _Record) -> tuple[list[str], list[str]]:
 
 
 def _suite_t17(rec: _Record) -> tuple[list[str], list[str]]:
-    if not (rec.clawfree and rec.connected):
+    if not (rec.clawfree and not rec.tau.is_zero):
         return [], []
     minimal_half = rec.t == HALF
     accepted, _ = recognize_clawfree_half(rec.g)
@@ -355,16 +352,16 @@ def _suite_c18(rec: _Record) -> tuple[list[str], list[str]]:
 
 
 def _witness_failures(rec: _Record, witness: Callable[..., object], *args) -> list[str]:
-    """``edge=u-v <reason>`` for each non-bridge edge e whose
-    ``witness(g, *args, e)`` raises RuntimeError; a returned witness was
-    built by ``mintough._edge_witness``, which checks the rule."""
+    """``edge=u-v <reason>`` for each edge e whose ``witness(g, *args, e)``
+    raises RuntimeError; a returned witness was built by
+    ``mintough._edge_witness``, which checks the rule.  A bridge gets the
+    search's own bridge witness, so it never raises."""
     violations = []
     for e in rec.g.edges():
-        if e not in rec.bridges:
-            try:
-                witness(rec.g, *args, e)
-            except RuntimeError as exc:
-                violations.append(f"edge={e[0]}-{e[1]} {exc}")
+        try:
+            witness(rec.g, *args, e)
+        except RuntimeError as exc:
+            violations.append(f"edge={e[0]}-{e[1]} {exc}")
     return violations
 
 
@@ -387,16 +384,17 @@ def _suite_c1(rec: _Record) -> tuple[list[str], list[str]]:
 
 
 def _suite_t20(rec: _Record) -> tuple[list[str], list[str]]:
-    if not (rec.twok2 and rec.connected):
+    if not (rec.twok2 and not rec.tau.is_zero):
         return [], []
     g = rec.g
     violations = []
     for e in g.edges():
-        if e in rec.bridges:
+        minus = g.delete_edge(*e)
+        if not minus.is_connected():  # e is a bridge
             continue
-        # the record's twok2 and bridges already give split_expand's preconditions
+        # the record's twok2 and the connected g - e give split_expand's preconditions
         expanded = delete_and_complete(g, e)
-        tau_minus = rec.tau_of(g.delete_edge(*e))
+        tau_minus = rec.tau_of(minus)
         tau_exp = rec.tau_of(expanded)
         if tau_exp != tau_minus:
             violations.append(

@@ -249,10 +249,10 @@ def _cutsets(
 
     Measured on this engine, thresholds from 0 to 1,000 time alike on the
     14-18 vertex queries, but on small graphs a walk step costs as much as
-    the count it saves.  Walking every size, ``toughness`` and
-    ``is_t_tough(G, 1)`` over the labeled connected graphs with n <= 6
-    counted 360,049 subsets instead of 861,121, yet CPU time rose from 2.60
-    to 2.85 s (medians of 5 runs).  At 200 every sweep scan (n <= 8, at
+    the count it saves.  Walking every size cut the labeled n <= 6 sweep's
+    component counts from 528,412 to 245,981, yet on a 2-core host its CPU
+    time rose in 8 of 8 alternating pairs (median +13%), and the dedup
+    n <= 7 sweep's in 8 of 10 (+5%).  At 200 every sweep scan (n <= 8, at
     most 70 subsets a size) and n = 9 keep the loop.
     """
     n, m = len(nbr), len(pool)

@@ -1,7 +1,8 @@
 """Bridges, blocks and cut vertices against networkx.
 
-The package derives all three from vertex-deleted components; networkx
-finds them by depth-first search, sharing no code with it.
+The package counts the components of G - e for bridges and of G - c for
+blocks and cut vertices; networkx finds them by depth-first search,
+sharing no code with it.
 """
 
 import random

@@ -416,6 +416,35 @@ def test_source_stdout_is_pinned(argv, want_code, want_sha256, tmp_path):
     assert hashlib.sha256(out.encode()).hexdigest() == want_sha256
 
 
+def _connectivity_corpus():
+    # where "connected" and "tau is not zero" could part: Graph(0) and K1,
+    # edgeless graphs, K2 and disconnected graphs with edges, and P4, C4, K4
+    graphs = [Graph(0), Graph(1), Graph(2), Graph(3), zoo.complete(2),
+              Graph(3, [(0, 1)]), Graph(4, [(0, 1), (2, 3)]),
+              Graph(5, [(0, 1), (1, 2), (3, 4)]),
+              Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+              zoo.path(4), zoo.cycle(4), zoo.complete(4)]
+    return "".join(encode_graph6(g) + "\n" for g in graphs)
+
+
+@pytest.mark.parametrize(
+    "argv, want_sha256",
+    [
+        (["verify", "all"], "d1fdcd2db329445dec811c046b885f2f203cabb7dad0b7ab9db19e011fef971c"),
+        (["scan"], "fee17aa036be984843973303a327bb8b57541afcdc4d7716cae44062d39b6a7a"),
+    ],
+)
+def test_disconnected_source_stdout_is_pinned(argv, want_sha256, tmp_path):
+    # reference outputs: the suites read connectivity from tau alone, and
+    # a bridge is an edge whose deletion disconnects the graph
+    corpus = tmp_path / "connectivity.g6"
+    corpus.write_text(_connectivity_corpus())
+    code, out = run_cli(argv + ["--source", str(corpus)])
+    assert code == 0
+    out = out.replace(str(corpus), "F")
+    assert hashlib.sha256(out.encode()).hexdigest() == want_sha256
+
+
 def test_env_cap_respected():
     big = encode_graph6(zoo.complete(2))  # harmless graph, but cap must gate parsing
     code, out = run_cli(["toughness"], stdin_text=big, env_cap="1")
