@@ -159,16 +159,17 @@ def enumerate_connected_graphs(n: int, dedup: bool) -> Iterator[Graph]:
     order of the edge bitmask; dedup=True yields one canonically labeled
     representative per isomorphism class, in increasing canonical-key order.
     """
+    _check_n(n, dedup)
+    yield from _dedup_representatives(n) if dedup else _labeled_graphs(n, connected_only=True)
+
+
+def _check_n(n: int, dedup: bool) -> None:
+    """ValueError unless 1 <= n <= the cap of the mode, dedup or labeled."""
     if n < 1:
-        raise ValueError("need n >= 1")
-    if dedup:
-        if n > MAX_DEDUP_N:
-            raise ValueError(f"dedup enumeration capped at n <= {MAX_DEDUP_N}")
-        yield from _dedup_representatives(n)
-    else:
-        if n > MAX_LABELED_N:
-            raise ValueError(f"labeled enumeration capped at n <= {MAX_LABELED_N}")
-        yield from _labeled_graphs(n, connected_only=True)
+        raise ValueError("enumeration needs n >= 1")
+    kind, cap = ("dedup", MAX_DEDUP_N) if dedup else ("labeled", MAX_LABELED_N)
+    if n > cap:
+        raise ValueError(f"{kind} enumeration capped at n <= {cap}")
 
 
 # -- trees ---------------------------------------------------------------------

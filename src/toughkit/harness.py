@@ -11,11 +11,11 @@ kept out of the payload.
 Both sweeps, ``run_suites`` and ``scan_minimally_tough``, read the source
 through one stream, ``_classified``, which owns the sweep's toughness memo
 (keyed by the adjacency-mask tuple) and collects the malformed lines.
-``classify`` and T20 ask the memo for the toughness of g, of each connected
-g - e and of split expansions, so every graph's toughness is searched for
-once per sweep: in a labeled sweep all of those graphs are themselves
-enumerated.  The memo is dropped when the stream ends; nothing is cached
-across calls.
+``classify`` and T20 ask the memo for the toughness of g, of each g - e and
+of split expansions.  The memo alone tests connectivity: it answers zero for
+a disconnected graph unsearched and unstored, so each connected graph's
+toughness is searched for once per sweep.  The memo is dropped when the
+stream ends; nothing is cached across calls.
 
 Suites (all checked with exact rational arithmetic):
 
@@ -46,7 +46,7 @@ from fractions import Fraction
 from itertools import compress
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .enumeration import MAX_DEDUP_N, MAX_LABELED_N, enumerate_connected_graphs
+from .enumeration import _check_n, enumerate_connected_graphs
 from .families import (
     delete_and_complete,
     is_long_cycle,
@@ -93,12 +93,9 @@ class EnumerationSource:
         if mode not in ("auto", "labeled", "dedup"):
             raise ValueError(f"unknown enumeration mode {mode!r}")
         self.mode = mode
-        if not self.ns or self.ns[0] < 1:
-            raise ValueError("enumeration needs n >= 1")
-        hi = self.ns[-1]  # only the largest n can exceed its mode's cap
-        kind, cap = ("dedup", MAX_DEDUP_N) if self._dedup(hi) else ("labeled", MAX_LABELED_N)
-        if hi > cap:
-            raise ValueError(f"{kind} enumeration capped at n <= {cap}")
+        # only the smallest n can be below 1, only the largest above its cap
+        for n in (self.ns[0], self.ns[-1]) if self.ns else (0,):
+            _check_n(n, self._dedup(n))
 
     def _dedup(self, n: int) -> bool:
         return n > 6 if self.mode == "auto" else self.mode == "dedup"
@@ -141,7 +138,8 @@ class Graph6Source:
 class _ToughnessMemo:
     """Toughness of every graph one sweep asks about, each searched once.
 
-    Keys are the graphs' adjacency-mask tuples, which also fix n; equal
+    A disconnected graph gets zero from one connectivity test, unsearched
+    and unstored.  Keys are adjacency-mask tuples, which also fix n; equal
     values share one ``Toughness`` object, which keeps the memo small.
     """
 
@@ -154,6 +152,8 @@ class _ToughnessMemo:
     def __call__(self, g: Graph) -> Toughness:
         tau = self._tau.get(g._nbr)
         if tau is None:
+            if not g.is_connected():
+                return Toughness.zero()
             tau, _ = toughness(g)
             tau = self._tau[g._nbr] = self._values.setdefault(tau, tau)
         return tau
@@ -178,15 +178,12 @@ def classify(g: Graph, tau_of: Callable[[Graph], Toughness]) -> _Record:
     """One-pass classification shared by every suite.
 
     ``tau_of`` is the sweep's toughness memo.  g is minimally t-tough,
-    t = tau(g), when deleting any edge disconnects g or drops the toughness
-    below t; the memo never sees a disconnected g - e, which is no sweep graph.
+    t = tau(g), when deleting any edge drops the toughness below t; a bridge
+    does, as the memo answers zero for the disconnected g - e.
     """
     tau = tau_of(g)
     t: Fraction | None = None
-    if tau.is_finite and all(
-        not minus.is_connected() or tau_of(minus) < tau
-        for minus in (g.delete_edge(*e) for e in g.edges())
-    ):
+    if tau.is_finite and all(tau_of(g.delete_edge(*e)) < tau for e in g.edges()):
         t = tau.value
     return _Record(
         g,
@@ -389,12 +386,11 @@ def _suite_t20(rec: _Record) -> tuple[list[str], list[str]]:
     g = rec.g
     violations = []
     for e in g.edges():
-        minus = g.delete_edge(*e)
-        if not minus.is_connected():  # e is a bridge
+        tau_minus = rec.tau_of(g.delete_edge(*e))
+        if tau_minus.is_zero:  # e is a bridge
             continue
         # the record's twok2 and the connected g - e give split_expand's preconditions
         expanded = delete_and_complete(g, e)
-        tau_minus = rec.tau_of(minus)
         tau_exp = rec.tau_of(expanded)
         if tau_exp != tau_minus:
             violations.append(

@@ -108,7 +108,8 @@ def _drop_set(
 def is_minimally_t_tough(g: Graph, t: Fraction | int) -> bool:
     """Toughness equals t and every single-edge deletion drops it below t."""
     t = _checked_t(t)
-    return minimal_toughness_value(g) == t
+    tau, _ = toughness(g)
+    return tau == t and minimal_toughness_value(g, tau) == t
 
 
 def minimal_toughness_value(g: Graph, tau: Toughness | None = None) -> Fraction | None:

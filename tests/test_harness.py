@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -167,6 +168,47 @@ def test_sweep_computes_each_toughness_once(monkeypatch):
     run_suites(list(SUITES), source())
     assert len(calls) == 2 * scanned
     assert set(calls[:scanned]) == set(calls[scanned:])
+
+
+def test_memo_answers_zero_for_disconnected_graphs(monkeypatch):
+    calls = []
+    real = harness.toughness
+    monkeypatch.setattr(harness, "toughness", lambda g: calls.append(g) or real(g))
+    memo = _ToughnessMemo()
+    two_k2 = Graph(4, [(0, 1), (2, 3)])
+    p3_k2 = Graph(5, [(0, 1), (1, 2), (3, 4)])
+    for g in (two_k2, p3_k2, two_k2):
+        assert memo(g).is_zero
+    # no search, and nothing stored: the memo keeps connected graphs only
+    assert calls == [] and memo._tau == {}
+    assert memo(zoo.cycle(4)) == 1 and len(calls) == 1
+
+
+def test_sweep_tests_connectivity_only_on_memo_misses(monkeypatch):
+    modules = [
+        importlib.import_module(f"toughkit.{name}")
+        for name in ("graphs", "toughness", "mintough", "recognition", "enumeration")
+    ]
+    counts = {"connected": 0, "components": 0}
+    real_count, real_connected = modules[0].component_count, Graph.is_connected
+
+    def component_count(nbr, pool):
+        counts["components"] += 1
+        return real_count(nbr, pool)
+
+    def is_connected(g):
+        counts["connected"] += 1
+        return real_connected(g)
+
+    for module in modules:
+        monkeypatch.setattr(module, "component_count", component_count)
+    monkeypatch.setattr(Graph, "is_connected", is_connected)
+    reports = run_suites(list(SUITES), EnumerationSource(range(1, 6), mode="labeled"))
+    # classify and T20 ask the memo about every g - e; a connected one is a
+    # hit, since it precedes g in the labeled enumeration, so connectivity is
+    # tested only on a graph's first lookup and on each disconnected g - e
+    assert reports[0].scanned == 772
+    assert counts["connected"] <= 6_005 and counts["components"] <= 24_193
 
 
 def test_sweep_computes_no_bridge_set(monkeypatch):

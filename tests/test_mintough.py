@@ -139,6 +139,18 @@ def test_separating_scan_work(monkeypatch, g, value, budget):
     assert minimal_toughness_value(g, tau) == value
 
 
+def test_is_minimally_t_tough_stops_when_toughness_differs(monkeypatch):
+    # tau(C_10(1,2)) = 2, so at t = 1 no per-edge scan is needed
+    g = zoo.circulant(10, (1, 2))
+    module = importlib.import_module("toughkit.mintough")
+    calls = []
+    real = module._drop_set
+    monkeypatch.setattr(module, "_drop_set", lambda *a, **k: calls.append(a) or real(*a, **k))
+    assert toughness(g)[0] == 2
+    assert not is_minimally_t_tough(g, 1) and calls == []
+    assert is_minimally_t_tough(g, 2) == (minimal_toughness_value(g) == 2)
+
+
 def test_trees_are_minimally_inverse_max_degree():
     for n in range(3, 9):
         for t in enumerate_trees(n):
