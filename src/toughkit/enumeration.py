@@ -6,8 +6,12 @@ column-major bit order used by the graph6 format.  One pruned depth-first
 search over vertex placements (``_min_encoding``) computes it, and also the
 cheaper ``_certificate``, which searches only the orderings that respect the
 colour-refined vertex partition.  The isomorph-free enumeration grows
-connected graphs, tells candidates apart by certificate and computes the
-canonical form once per class.  Desk scale only.
+connected graphs one vertex v at a time and drops a child when a non-cut
+vertex outranks v by (degree, sorted neighbour degrees), the first test of
+canonical augmentation (McKay 1998).  Each class keeps the child whose v is
+a top-ranked non-cut vertex (proof at ``_dedup_representatives``).  The
+survivors are told apart by certificate and canonicalized once per class.
+Desk scale only.
 """
 
 from __future__ import annotations
@@ -27,7 +31,10 @@ def canonical_key(g: Graph) -> int:
 
     Bits are ordered (0,1), (0,2), (1,2), (0,3), ... with the first pair in
     the most significant position, so integer comparison matches
-    lexicographic comparison of equal-length bit strings.
+    lexicographic comparison of equal-length bit strings.  The search is
+    exponential on sparse graphs with many near-ties: it did not finish in
+    30 s on a 39-vertex comb tree.  On the CLI path only the dedup
+    enumeration (n <= 8) calls it.
     """
     return _min_encoding(g._nbr, [(1 << g.n) - 1] * g.n)
 
@@ -130,14 +137,41 @@ def _labeled_graphs(n: int, connected_only: bool) -> Iterator[Graph]:
         yield Graph._from_masks(n, tuple(masks))
 
 
+def _is_canonical_deletion(masks: tuple[int, ...]) -> bool:
+    """False when a non-cut vertex outranks the last vertex v by (degree,
+    sorted neighbour degrees); lists are built only on a degree tie, and
+    only an outranking vertex is tested for being a cut vertex."""
+    v = len(masks) - 1
+    deg = [m.bit_count() for m in masks]
+
+    def nbr_degrees(x: int) -> list[int]:
+        return sorted(deg[u] for u in range(v + 1) if masks[x] >> u & 1)
+
+    mine = None
+    for w in range(v):
+        if deg[w] < deg[v]:
+            continue
+        if deg[w] == deg[v]:
+            mine = mine or nbr_degrees(v)
+            if nbr_degrees(w) <= mine:
+                continue
+        if component_count(masks, (2 << v) - 1 ^ 1 << w) == 1:
+            return False
+    return True
+
+
 def _dedup_representatives(n: int) -> list[Graph]:
     """One canonically labeled representative per connected isomorphism class.
 
     Built level by level: every connected graph has a non-cut vertex, whose
-    deletion leaves a connected graph, so attaching a new vertex to every
+    deletion leaves a connected graph, so attaching a new vertex v to every
     non-empty neighbor subset of every connected (k-1)-representative
-    reaches every connected class on k vertices.  Candidates are told apart
-    by ``_certificate``; the lex-min key is computed once per class.
+    reaches every connected class on k vertices.  A child is dropped before
+    it is certified unless ``_is_canonical_deletion``.  No class is lost:
+    let m be a non-cut vertex of largest invariant in a connected G; G - m
+    is connected, so some representative P is isomorphic to it, and the
+    child of P that is G with its new vertex at m is kept.  Survivors are
+    told apart by ``_certificate``; the lex-min key is computed once per class.
     """
     reps = [Graph(1)]
     for k in range(2, n + 1):
@@ -146,7 +180,8 @@ def _dedup_representatives(n: int) -> list[Graph]:
             for sub in range(1, 1 << (k - 1)):
                 masks = tuple(m | (sub >> i & 1) << (k - 1) for i, m in enumerate(g._nbr))
                 masks += (sub,)
-                classes.setdefault(_certificate(masks), masks)
+                if _is_canonical_deletion(masks):
+                    classes.setdefault(_certificate(masks), masks)
         keys = sorted(canonical_key(Graph._from_masks(k, m)) for m in classes.values())
         reps = [graph_from_key(k, key) for key in keys]
     return reps

@@ -11,8 +11,11 @@ from toughkit import (
     encode_graph6,
     enumerate_connected_graphs,
 )
+from toughkit import enumeration
 from toughkit.enumeration import (
     _certificate,
+    _dedup_representatives,
+    _is_canonical_deletion,
     _labeled_graphs,
     enumerate_trees,
     graph_from_key,
@@ -107,6 +110,70 @@ def test_dedup_matches_networkx_atlas_up_to_n7():
         got = [canonical_key(g) for g in enumerate_connected_graphs(n, dedup=True)]
         assert len(got) == len(set(got)) == len(want[n])
         assert set(got) == want[n]
+
+
+def _connected_without(g, m):
+    start = 1 if m == 0 else 0
+    seen, stack = {start}, [start]
+    while stack:
+        for w in g.neighbors(stack.pop()):
+            if w != m and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == g.n - 1
+
+
+def test_filter_keeps_the_child_at_a_top_ranked_non_cut_vertex_up_to_n6():
+    # the soundness argument itself, without the certificate dict: deleting
+    # a non-cut vertex m of largest invariant leaves a connected parent, and
+    # the child of that parent whose new vertex is m passes the filter
+    for n in range(2, 7):
+        for g in _labeled_graphs(n, connected_only=True):
+            m = max((v for v in range(n) if _connected_without(g, v)), key=lambda v: (
+                g.degree(v), sorted(g.degree(u) for u in g.neighbors(v))))
+            pos = {u: i for i, u in enumerate([u for u in range(n) if u != m] + [m])}
+            child = Graph(n, [(pos[u], pos[v]) for u, v in g.edges()])
+            assert _is_canonical_deletion(child._nbr), (g.edges(), m)
+
+
+def test_filtered_levels_match_unfiltered_growth_up_to_n7(monkeypatch):
+    # the plain growth certifies every neighbor subset of every parent; the
+    # filtered enumeration must find the same classes and representatives
+    # (the test module's _certificate is the unpatched one)
+    certified = {k: set() for k in range(1, 8)}
+
+    def recording(masks):
+        cert = _certificate(masks)
+        certified[len(masks)].add(cert)
+        return cert
+
+    monkeypatch.setattr(enumeration, "_certificate", recording)
+    filtered = {k: _dedup_representatives(k) for k in range(1, 8)}
+    reps = [Graph(1)]
+    for k in range(2, 8):
+        classes = {}
+        for g in reps:
+            for sub in range(1, 1 << (k - 1)):
+                masks = tuple(m | (sub >> i & 1) << (k - 1) for i, m in enumerate(g._nbr))
+                masks += (sub,)
+                classes.setdefault(_certificate(masks), masks)
+        assert set(classes) == certified[k]
+        reps = [graph_from_key(k, key) for key in
+                sorted(canonical_key(Graph._from_masks(k, m)) for m in classes.values())]
+        assert reps == filtered[k]
+
+
+def test_n7_level_certifies_at_most_1477_candidates(monkeypatch):
+    # without the filter the n = 7 level certifies 7,056 candidates
+    calls = {k: 0 for k in range(2, 8)}
+
+    def counting(masks):
+        calls[len(masks)] += 1
+        return _certificate(masks)
+
+    monkeypatch.setattr(enumeration, "_certificate", counting)
+    assert len(_dedup_representatives(7)) == 853
+    assert calls[7] <= 1477
 
 
 def test_certificate_separates_exactly_the_classes_n5():
