@@ -7,6 +7,8 @@ Run from the repository root, stdlib only:
         --what "what the change does" --first-seed 2201 \\
         --pairs sweep-dedup7=10 --pairs sweep-labeled6=5 --pairs query-n16=5
 
+``--seconds`` defaults to the ``run_seconds`` of ``BENCHMARK.json``.
+
 Each revision is exported with ``git archive`` into a fresh directory, so
 neither tree holds a ``__pycache__`` or an earlier ``.bench_out``.  Every
 pair runs ``perfbench/run.py --trace 0`` once in each tree with
@@ -47,7 +49,8 @@ def export(rev: str, dest: Path) -> None:
     """Extract the committed tree of rev into dest."""
     dest.mkdir(parents=True)
     with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev))) as tar:
-        tar.extractall(dest)
+        # the "data" filter exists from Python 3.11.4 and is the default from 3.14
+        tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -106,14 +109,16 @@ def main(argv=None) -> int:
     parser.add_argument("--what", required=True, help="one line on what the change does")
     parser.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N")
     parser.add_argument("--first-seed", type=int, required=True)
-    parser.add_argument("--seconds", type=int, default=35)
-    parser.add_argument("--out", type=Path, help="default: BENCH_<pr>.json in the repo root")
+    parser.add_argument("--seconds", type=int, help="default: BENCHMARK.json's run_seconds")
     args = parser.parse_args(argv)
+    if args.seconds is None:
+        args.seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     plan = []
     for item in args.pairs:
         workload, _, count = item.partition("=")
-        if workload not in MAIN_METRIC or not count.isdigit() or int(count) < 1:
-            parser.error(f"--pairs wants WORKLOAD=N with WORKLOAD in {sorted(MAIN_METRIC)}")
+        if (workload not in MAIN_METRIC or workload in dict(plan)
+                or not count.isdigit() or int(count) < 1):
+            parser.error(f"--pairs wants WORKLOAD=N, each WORKLOAD once from {sorted(MAIN_METRIC)}")
         plan.append((workload, int(count)))
     revs = {side: git("rev-parse", rev).decode().strip()
             for side, rev in (("parent", args.parent), ("change", args.change))}
@@ -166,7 +171,7 @@ def main(argv=None) -> int:
             "src_sha256": runs[side][plan[0][0]][0]["env"]["src_sha256"],
             "workloads": {w: summarize(runs[side][w]) for w, _ in plan},
         }
-    out = args.out or ROOT / f"BENCH_{args.pr}.json"
+    out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(bench, indent=1) + "\n")
     print(out)
     return 0
