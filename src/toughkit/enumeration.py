@@ -8,9 +8,8 @@ cheaper ``_certificate``, which searches only the orderings that respect the
 colour-refined vertex partition.  The isomorph-free enumeration grows
 connected graphs one vertex v at a time and drops a child when a non-cut
 vertex outranks v by (degree, sorted neighbour degrees), the first test of
-canonical augmentation (McKay 1998).  Each class keeps the child whose v is
-a top-ranked non-cut vertex (proof at ``_dedup_representatives``).  The
-survivors are told apart by certificate and canonicalized once per class.
+canonical augmentation (McKay 1998; proof at ``_dedup_representatives``).
+Survivors are told apart by certificate and canonicalized once per class.
 Desk scale only.
 """
 
@@ -138,9 +137,8 @@ def _labeled_graphs(n: int, connected_only: bool) -> Iterator[Graph]:
 
 
 def _is_canonical_deletion(masks: tuple[int, ...]) -> bool:
-    """False when a non-cut vertex outranks the last vertex v by (degree,
-    sorted neighbour degrees); lists are built only on a degree tie, and
-    only an outranking vertex is tested for being a cut vertex."""
+    """False when a non-cut vertex outranks the last vertex by (degree,
+    sorted neighbour degrees)."""
     v = len(masks) - 1
     deg = [m.bit_count() for m in masks]
 
@@ -149,13 +147,10 @@ def _is_canonical_deletion(masks: tuple[int, ...]) -> bool:
 
     mine = None
     for w in range(v):
-        if deg[w] < deg[v]:
-            continue
         if deg[w] == deg[v]:
             mine = mine or nbr_degrees(v)
-            if nbr_degrees(w) <= mine:
-                continue
-        if component_count(masks, (2 << v) - 1 ^ 1 << w) == 1:
+        outranks = deg[w] > deg[v] or deg[w] == deg[v] and nbr_degrees(w) > mine
+        if outranks and component_count(masks, (2 << v) - 1 ^ 1 << w) == 1:
             return False
     return True
 

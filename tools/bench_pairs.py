@@ -7,18 +7,18 @@ Run from the repository root, stdlib only:
         --what "what the change does" --first-seed 2201 \\
         --pairs sweep-dedup7=10 --pairs sweep-labeled6=5 --pairs query-n16=5
 
-``--seconds`` defaults to the ``run_seconds`` of ``BENCHMARK.json``.
-
 Each revision is exported with ``git archive`` into a fresh directory, so
 neither tree holds a ``__pycache__`` or an earlier ``.bench_out``.  Every
-pair runs ``perfbench/run.py --trace 0`` once in each tree with
-``PYTHONDONTWRITEBYTECODE=1``; the parent goes first on odd seeds and the
-change first on even seeds.  Seeds count up from ``--first-seed`` across
+pair runs ``perfbench/run.py --trace 0`` once in each tree for the
+``run_seconds`` of ``BENCHMARK.json``, with ``PYTHONDONTWRITEBYTECODE=1``;
+the parent goes first on odd seeds and the change first on even seeds.  Seeds count up from ``--first-seed`` across
 the workloads in the order given.  The script writes ``BENCH_<pr>.json``:
 per side and workload the median with quartiles q1 and q3 of every
 end-to-end metric and of the unscaled wall-clock figures, the summed
 attempted and failed operations, and per workload the number of pairs in
-which the change did better on the workload's main metric.
+which the change did better on the workload's main metric (queries_per_s
+for a ``query-`` workload, graphs_per_s otherwise), in the direction that
+``BENCHMARK.json`` gives for it.
 """
 
 from __future__ import annotations
@@ -35,10 +35,13 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# the metric a workload's pairs are won on; rates are better higher
-MAIN_METRIC = {"sweep-labeled6": "graphs_per_s", "sweep-dedup7": "graphs_per_s",
-               "query-n16": "queries_per_s"}
-HIGHER_IS_BETTER = {"graphs_per_s", "queries_per_s"}
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+SECONDS = BENCHMARK["run_seconds"]
+HIGHER_IS_BETTER = {m["name"] for m in BENCHMARK["end_to_end"] if m["better"] == "higher"}
+
+
+def main_metric(workload: str) -> str:
+    return "queries_per_s" if workload.startswith("query-") else "graphs_per_s"
 
 
 def git(*args: str) -> bytes:
@@ -53,12 +56,12 @@ def export(rev: str, dest: Path) -> None:
         tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     """One perfbench run: its final result line, with info.raw merged in."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(SECONDS), "--trace", "0"],
         cwd=tree, env=env, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -109,16 +112,14 @@ def main(argv=None) -> int:
     parser.add_argument("--what", required=True, help="one line on what the change does")
     parser.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N")
     parser.add_argument("--first-seed", type=int, required=True)
-    parser.add_argument("--seconds", type=int, help="default: BENCHMARK.json's run_seconds")
     args = parser.parse_args(argv)
-    if args.seconds is None:
-        args.seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    known = [w["name"] for w in BENCHMARK["workloads"]]
     plan = []
     for item in args.pairs:
         workload, _, count = item.partition("=")
-        if (workload not in MAIN_METRIC or workload in dict(plan)
+        if (workload not in known or workload in dict(plan)
                 or not count.isdigit() or int(count) < 1):
-            parser.error(f"--pairs wants WORKLOAD=N, each WORKLOAD once from {sorted(MAIN_METRIC)}")
+            parser.error(f"--pairs wants WORKLOAD=N, each WORKLOAD once from {known}")
         plan.append((workload, int(count)))
     revs = {side: git("rev-parse", rev).decode().strip()
             for side, rev in (("parent", args.parent), ("change", args.change))}
@@ -135,16 +136,16 @@ def main(argv=None) -> int:
             for s in seeds[workload]:
                 order = ("parent", "change") if s % 2 else ("change", "parent")
                 for side in order:
-                    r = run_once(trees[side], workload, s, args.seconds)
+                    r = run_once(trees[side], workload, s)
                     runs[side].setdefault(workload, []).append(r)
                     print(f"{workload} seed {s} {side}: "
-                          f"{MAIN_METRIC[workload]} "
-                          f"{r['metrics'][MAIN_METRIC[workload]]['value']:.6g}",
+                          f"{main_metric(workload)} "
+                          f"{r['metrics'][main_metric(workload)]['value']:.6g}",
                           file=sys.stderr, flush=True)
 
     wins = {}
     for workload, count in plan:
-        metric = MAIN_METRIC[workload]
+        metric = main_metric(workload)
         pairs = zip(runs["parent"][workload], runs["change"][workload])
         wins[workload] = {"metric": metric,
                           "change_better": sum(change_better(metric, p, c) for p, c in pairs),
@@ -153,7 +154,7 @@ def main(argv=None) -> int:
     bench = {
         "what": args.what,
         "command": (f"PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py --workload W --seed S "
-                    f"--seconds {args.seconds} --trace 0, each tree a fresh git archive "
+                    f"--seconds {SECONDS} --trace 0, each tree a fresh git archive "
                     f"export without __pycache__"),
         "statistic": ("median over runs, with the quartiles q1 and q3 (statistics.quantiles, "
                       "n=4); attempted and failed are summed; raw holds the unscaled "
