@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .graphs import Graph, component_count, mask_to_tuple, set_to_mask, set_to_str
-from .toughness import Toughness, _checked_set, _checked_t, _cutsets, toughness
+from .toughness import Toughness, _checked_set, _checked_t, _cutsets, _tight_pool, toughness
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,10 @@ def _drop_set(
     if component_count(minus, (1 << g.n) - 1) > 1:
         return ()
     p, q = t.numerator, t.denominator
-    cutsets = _cutsets(minus, pool, lambda size: q * size // p + 1, apart)
+    twins = None
+    if apart is None:  # the first violating set is tight in G-e
+        pool, twins = _tight_pool(minus, pool)
+    cutsets = _cutsets(minus, pool, lambda size: q * size // p + 1, apart, twins)
     return next((combo for combo, _ in cutsets), None)
 
 

@@ -24,6 +24,7 @@ from .graphs import (
     mask_to_tuple,
     set_to_mask,
     set_to_str,
+    simplicial_in,
     vertex_connectivity,
 )
 from .recognition import is_claw_free
@@ -181,15 +182,39 @@ def _independence_number(nbr: Sequence[int], pool: int) -> int:
     )
 
 
-def _alpha_sums(nbr: Sequence[int]) -> list[int]:
-    """Entry s is the sum of the s largest alpha(G[N(v)]).
+def _alpha_sums(nbr: Sequence[int], pool: Iterable[int] | None = None) -> list[int]:
+    """Entry s is the sum of the s largest alpha(G[N(v)]) over v in ``pool``
+    (default: every vertex).
 
     A vertex v of a cutset S touches at most alpha(G[N(v)]) components of
     G-S (one neighbor in each is an independent set), and every component
-    has at least kappa neighbors in S, so kappa * c(G-S) <= entry |S|.
+    has at least kappa neighbors in S, so kappa * c(G-S) <= entry |S| for
+    every S drawn from the pool.
     """
-    alphas = sorted((_independence_number(nbr, m) for m in nbr), reverse=True)
+    pool = range(len(nbr)) if pool is None else pool
+    alphas = sorted((_independence_number(nbr, nbr[v]) for v in pool), reverse=True)
     return list(accumulate(alphas, initial=0))
+
+
+def _tight_pool(
+    nbr: Sequence[int], pool: Iterable[int]
+) -> tuple[list[int], list[int] | None]:
+    """The pool less its simplicial vertices, and by vertex the mask of its
+    class of twins (N(u) - w = N(w) - u) among those left, or None when no
+    two are twins: what a tight set (see ``_cutsets``) is drawn from and a
+    union of.  Twins share N(v) or N(v) | v, never both kinds at once."""
+    full = (1 << len(nbr)) - 1
+    kept = [v for v in pool if not simplicial_in(nbr, full, v)]
+    classes: dict[int, int] = {}
+    for v in kept:
+        for key in (nbr[v], nbr[v] | 1 << v):
+            classes[key] = classes.get(key, 0) | 1 << v
+    if len(classes) == 2 * len(kept):
+        return kept, None
+    twins = [0] * len(nbr)
+    for v in kept:
+        twins[v] = classes[nbr[v]] | classes[nbr[v] | 1 << v]
+    return kept, twins
 
 
 # ``_cutsets`` walks from the first size with more subsets than this.
@@ -198,7 +223,7 @@ _WALK_ABOVE = 200
 
 def _cutsets(
     nbr: Sequence[int], pool: Sequence[int], need: Callable[[int], int],
-    apart: tuple[int, int] | None = None,
+    apart: tuple[int, int] | None = None, twins: Sequence[int] | None = None,
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """(S, c(G - S)) for cutsets S of the connected graph behind ``nbr``,
     drawn from ``pool`` by size and then lexicographically.
@@ -220,6 +245,16 @@ def _cutsets(
     size without one proves nothing about k.  Each holds W = N(a) & N(b),
     as a-w-b is a path, so the plain loop counts only subsets holding W,
     and none if the pool misses part of it.
+
+    With ``twins`` (from ``_tight_pool``; not with ``apart``), only unions
+    of twin classes are counted.  The callers' answers are tight, each
+    vertex of S seeing two components of G - S, as one that sees at most
+    one can leave S and lose none: the smallest minimizer of |S|/c, the
+    first maximizer of t*c - |S|, the smallest S with c > |S|/t and a
+    minimum separator.  A simplicial vertex's neighbours outside S lie in
+    one component, and u in S would see only the component of a twin
+    outside S.  k then becomes s + 1 only while k = s, no size up to s
+    holding a union: N(C) is one, an s-set between N(C) and S need not be.
 
     Sizes before the first with more than ``_WALK_ABOVE`` subsets count
     every subset.  From that size on, ``walk`` scans each size depth first
@@ -277,7 +312,7 @@ def _cutsets(
             return
         if least > 2:
             if alpha_sums is None:
-                alpha_sums = _alpha_sums(nbr)
+                alpha_sums = _alpha_sums(nbr, pool)
             if alpha_sums[size] // k < least:
                 continue
         if walk is None and comb(m, size) > _WALK_ABOVE:
@@ -330,6 +365,12 @@ def _cutsets(
                             left - 1, kept, reach
                         )
                         continue
+                    if twins is not None:
+                        closed = twins[v]
+                        for u in chosen:
+                            closed |= twins[u]
+                        if closed != removed | 1 << v:
+                            continue
                     omega = component_count(nbr, full ^ removed ^ 1 << v)
                     if omega >= 2:
                         cut_seen = True
@@ -341,6 +382,12 @@ def _cutsets(
                 removed = shared
                 for v in combo:
                     removed |= 1 << v
+                if twins is not None:
+                    closed = 0
+                    for v in combo:
+                        closed |= twins[v]
+                    if closed != removed:
+                        continue
                 omega = component_count(nbr, full ^ removed)
                 if omega >= 2:
                     cut_seen = True
@@ -354,7 +401,9 @@ def _cutsets(
             # - e(S) - |S| + 1 can hold
             cross, spare = k * bound, bound + size - 1
             yield from walk(0, (), 0, 0, 0, size - 1, outside_comps, outside_reach)
-        if apart is None and not cut_seen and (walk is None or bound == 2):
+        if apart is None and not cut_seen and (
+            k == size if twins is not None else walk is None or bound == 2
+        ):
             k = size + 1
 
 
@@ -375,8 +424,9 @@ def toughness(g: Graph) -> tuple[Toughness, WitnessSet | None]:
         return Toughness.zero(), witness_for(g, ())
     best_num, best_den = n, 1  # ratio n/1 beats any real cutset ratio
     best_set: tuple[int, ...] = ()
+    pool, twins = _tight_pool(g._nbr, range(n))
     for combo, omega in _cutsets(
-        g._nbr, range(n), lambda size: size * best_den // best_num + 1
+        g._nbr, pool, lambda size: size * best_den // best_num + 1, twins=twins
     ):
         if len(combo) * best_den < best_num * omega:
             best_num, best_den = len(combo), omega
@@ -430,8 +480,9 @@ def is_t_tough(g: Graph, t: Fraction | int) -> tuple[bool, WitnessSet | None]:
     p, q = t.numerator, t.denominator
     best_score = 0  # p*omega - q*size, positive = violation
     best: WitnessSet | None = None
+    pool, twins = _tight_pool(g._nbr, range(g.n))
     for combo, omega in _cutsets(
-        g._nbr, range(g.n), lambda size: (best_score + q * size) // p + 1
+        g._nbr, pool, lambda size: (best_score + q * size) // p + 1, twins=twins
     ):
         size = len(combo)
         score = p * omega - q * size

@@ -38,7 +38,7 @@ from toughkit import (
 )
 from toughkit.enumeration import _labeled_graphs
 from toughkit.graphs import component_count
-from toughkit.toughness import _alpha_sums
+from toughkit.toughness import _alpha_sums, _tight_pool
 from toughkit.toughness import _cutsets as _cutsets_under_test
 
 
@@ -388,6 +388,128 @@ def test_separating_scan_keeps_k_at_one():
     minus = g.delete_edge(1, 2)
     scan = _cutsets_under_test(minus._nbr, [0, 3, 4, 5], lambda size: size + 1, (1, 2))
     assert list(scan) == [((0, 3), 3)]
+
+
+@st.composite
+def complete_multipartite(draw, min_n, max_n):
+    # each vertex draws one of up to six parts; the parts are the twin classes
+    n = draw(st.integers(min_n, max_n))
+    part = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    return Graph(n, [(u, v) for u, v in combinations(range(n), 2) if part[u] != part[v]])
+
+
+@st.composite
+def blow_ups(draw, min_n, max_n):
+    # a graph on 3-6 vertices, each replaced by a clique or an independent
+    # set of 1-4 vertices; two blobs are joined when their vertices were
+    base = draw(st.integers(3, 6))
+    base_edges = draw(st.sets(st.sampled_from(list(combinations(range(base), 2)))))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=base, max_size=base))
+    cliques = draw(st.lists(st.booleans(), min_size=base, max_size=base))
+    assume(min_n <= sum(sizes) <= max_n)
+    blob = [x for x in range(base) for _ in range(sizes[x])]
+    edges = [
+        (u, v) for u, v in combinations(range(len(blob)), 2)
+        if (blob[u], blob[v]) in base_edges or blob[u] == blob[v] and cliques[blob[u]]
+    ]
+    return _relabeled(draw, len(blob), edges)
+
+
+@st.composite
+def split_graphs(draw, min_n, max_n):
+    # a clique on the first vertices, an independent set on the rest
+    n = draw(st.integers(min_n, max_n))
+    clique = draw(st.integers(2, n - 2))
+    cross = [(u, v) for u in range(clique) for v in range(clique, n)]
+    edges = set(combinations(range(clique), 2)) | draw(st.sets(st.sampled_from(cross)))
+    return _relabeled(draw, n, edges)
+
+
+@st.composite
+def chordal_graphs(draw, min_n, max_n):
+    # each new vertex joins a clique of earlier ones: part of a neighbourhood
+    # N[u], kept a clique, so the reverse order eliminates simplicial vertices
+    n = draw(st.integers(min_n, max_n))
+    hood = [set() for _ in range(n)]
+    for v in range(1, n):
+        u = draw(st.integers(0, v - 1))
+        chosen = {u}
+        for w in sorted(hood[u]):
+            if chosen <= hood[w] and draw(st.booleans()):
+                chosen.add(w)
+        for w in chosen:
+            hood[w].add(v)
+            hood[v].add(w)
+    return _relabeled(draw, n, [(u, v) for v in range(n) for u in hood[v] if u < v])
+
+
+def _class_unions(twins):
+    """A scan with the same arguments as ``_combinations_cutsets`` that
+    yields only its sets that are unions of the classes in ``twins``."""
+    def scan(nbr, pool, need):
+        for combo, omega in _combinations_cutsets(nbr, pool, need):
+            removed = closed = 0
+            for v in combo:
+                removed |= 1 << v
+                closed |= twins[v]
+            if closed == removed:
+                yield combo, omega
+
+    return scan
+
+
+def _answer(seen, caller, t):
+    """The caller's answer from the (S, c) its scan yielded: the first
+    least |S|/c, the first largest positive p*c - q*|S|, or the first set."""
+    p, q = t.numerator, t.denominator
+    if caller == "toughness":
+        return min(seen, key=lambda s: Fraction(len(s[0]), s[1]), default=None)
+    if caller == "is_t_tough":
+        best = max(seen, key=lambda s: p * s[1] - q * len(s[0]), default=None)
+        return best if best and p * best[1] > q * len(best[0]) else None
+    return seen[0] if seen else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        complete_multipartite(6, 16), blow_ups(6, 16), split_graphs(6, 16),
+        chordal_graphs(6, 16),
+    ),
+    st.sampled_from(["toughness", "is_t_tough", "first"]),
+    THRESHOLDS,
+)
+def test_twin_scan_yields_the_class_unions_of_the_combinations_scan(g, caller, t):
+    # with the tight pool and its twin classes, the scan (its walk on the
+    # larger pools) yields the plain scan's class unions over that pool, in
+    # the same order; and the caller's answer is the full scan's
+    assume(g.is_connected() and not g.is_complete())
+    pool, twins = _tight_pool(g._nbr, range(g.n))
+    unions = _class_unions(twins or [1 << v for v in range(g.n)])
+    seen = _driven(
+        lambda nbr, pool, need: _cutsets_under_test(nbr, pool, need, twins=twins),
+        g._nbr, pool, caller, t,
+    )
+    assert seen == _driven(unions, g._nbr, pool, caller, t)
+    full = _driven(_combinations_cutsets, g._nbr, range(g.n), caller, t)
+    assert _answer(seen, caller, t) == _answer(full, caller, t)
+
+
+def test_class_unions_keep_k_until_a_size_holds_one():
+    # 0 hangs off 5, which sees 1-4; {1, 2} and {3, 4} are twin classes.
+    # Size 1 holds the cutset {5}, size 2 no union of classes.  Were k raised
+    # to 3 there, A_3 // 3 = 7 // 3 < 3 would skip size 3 and lose {1, 2, 5},
+    # which leaves 0, 3 and 4 apart and is the witness at t = 5/2
+    g = Graph(6, [(0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 5), (4, 5)])
+    pool, twins = _tight_pool(g._nbr, range(g.n))
+    assert pool == [1, 2, 3, 4, 5] and [twins[v] for v in pool] == [6, 6, 24, 24, 32]
+    t = Fraction(5, 2)
+    seen = _driven(
+        lambda nbr, pool, need: _cutsets_under_test(nbr, pool, need, twins=twins),
+        g._nbr, pool, "is_t_tough", t,
+    )
+    assert seen == [((5,), 2), ((1, 2, 5), 3), ((3, 4, 5), 3)]
+    assert is_t_tough(g, t)[1].vertices == {1, 2, 5}
 
 
 def _alpha_by_brute_force(g):

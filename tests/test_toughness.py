@@ -19,8 +19,9 @@ from toughkit import (
     vertex_connectivity,
     witness_for,
 )
-from toughkit.enumeration import _labeled_graphs
+from toughkit.enumeration import _labeled_graphs, enumerate_connected_graphs
 from toughkit.graphs import component_masks, set_to_mask
+from toughkit.mintough import edge_deletion_witness, twok2_neighborhood_witness
 from toughkit.recognition import _clawfree_verdict
 from toughkit.toughness import _cutsets
 
@@ -197,6 +198,59 @@ def test_first_cutset_size_is_the_connectivity():
             assert len(cut) == vertex_connectivity(g).value, g
             checked += 1
     assert checked > 27_000
+
+
+def _scan_answers(g):
+    """What toughness, is_t_tough at tau, 1/2, 1, 3/2 and 2, the two
+    per-edge witness searches at tau (None where they find no set) and T12's
+    first cutset give on g, and each returned set with the graph it is a
+    cutset of."""
+    module = importlib.import_module("toughkit.toughness")
+    tau, w = toughness(g)
+    answers, sets = [(tau, w)], [(g, w.vertices)]
+    for t in {F(1, 2), F(1), F(3, 2), F(2), tau.value}:
+        verdict, w = is_t_tough(g, t)
+        answers.append((verdict, w))
+        if w is not None:
+            sets.append((g, w.vertices))
+    for e in g.edges():
+        minus = g.delete_edge(*e)
+        for search in (edge_deletion_witness, twok2_neighborhood_witness):
+            try:
+                w = search(g, tau.value, e)
+            except RuntimeError:
+                w = None
+            answers.append(w)
+            if w is not None and w.vertices:
+                sets.append((minus, w.vertices))
+    pool, twins = module._tight_pool(g._nbr, range(g.n))
+    cut, _ = next(_cutsets(g._nbr, pool, lambda size: 2, twins=twins))
+    answers.append(cut)
+    sets.append((g, frozenset(cut)))
+    return answers, sets
+
+
+def test_tight_scans_match_the_full_scans(monkeypatch):
+    # every connected labeled graph with n <= 6 and every class at n = 7:
+    # the scans over the tight pool and its twin classes give what the same
+    # scans give over every vertex, and every set they return holds no
+    # simplicial vertex and, with each vertex, all of its twins
+    graphs = [g for n in range(3, 7) for g in _labeled_graphs(n, connected_only=True)]
+    graphs += list(enumerate_connected_graphs(7, dedup=True))
+    graphs = [g for g in graphs if not g.is_complete()]
+    tight = [_scan_answers(g) for g in graphs]
+    for name in ("toughness", "mintough"):
+        monkeypatch.setattr(
+            importlib.import_module(f"toughkit.{name}"), "_tight_pool",
+            lambda nbr, pool: (list(pool), None),
+        )
+    for g, (answers, sets) in zip(graphs, tight):
+        assert _scan_answers(g)[0] == answers, g
+        for h, vs in sets:
+            hood = [set(h.neighbors(v)) for v in range(h.n)]
+            for v in vs:
+                assert any(not h.has_edge(a, b) for a, b in combinations(hood[v], 2)), (g, vs)
+                assert all(w in vs for w in range(h.n) if hood[v] - {w} == hood[w] - {v}), (g, vs)
 
 
 def test_edge_deletion_monotone():
