@@ -18,7 +18,9 @@ end-to-end metric and of the unscaled wall-clock figures, the summed
 attempted and failed operations, and per workload the number of pairs in
 which the change did better on the workload's main metric (queries_per_s
 for a ``query-`` workload, graphs_per_s otherwise), in the direction that
-``BENCHMARK.json`` gives for it.
+``BENCHMARK.json`` gives for it, with the verdict ``claim_holds``: the
+change won at least nine tenths of the pairs and its median beats the
+parent's by more than the parent's q3 - q1.
 """
 
 from __future__ import annotations
@@ -104,6 +106,16 @@ def change_better(metric: str, parent: dict, change: dict) -> bool:
     return b > a if metric in HIGHER_IS_BETTER else b < a
 
 
+def claim_holds(metric: str, parent: dict, change: dict, wins: int, pairs: int) -> bool:
+    """May a gain on metric be claimed?  The change won at least nine tenths
+    of the pairs, ties counting for neither, and its median (of a
+    ``summarize`` result) beats the parent's by more than the parent's
+    quartile spread q3 - q1."""
+    a, b = parent["metrics"][metric], change["metrics"][metric]
+    gap = b["value"] - a["value"] if metric in HIGHER_IS_BETTER else a["value"] - b["value"]
+    return 10 * wins >= 9 * pairs and gap > a["q3"] - a["q1"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
@@ -143,13 +155,15 @@ def main(argv=None) -> int:
                           f"{r['metrics'][main_metric(workload)]['value']:.6g}",
                           file=sys.stderr, flush=True)
 
+    summaries = {side: {w: summarize(runs[side][w]) for w, _ in plan} for side in revs}
     wins = {}
     for workload, count in plan:
         metric = main_metric(workload)
         pairs = zip(runs["parent"][workload], runs["change"][workload])
-        wins[workload] = {"metric": metric,
-                          "change_better": sum(change_better(metric, p, c) for p, c in pairs),
-                          "pairs": count}
+        better = sum(change_better(metric, p, c) for p, c in pairs)
+        wins[workload] = {"metric": metric, "change_better": better, "pairs": count,
+                          "claim_holds": claim_holds(metric, summaries["parent"][workload],
+                                                     summaries["change"][workload], better, count)}
     first = runs["change"][plan[0][0]][0]["env"]
     bench = {
         "what": args.what,
@@ -170,7 +184,7 @@ def main(argv=None) -> int:
         bench[side] = {
             "git_rev": rev,
             "src_sha256": runs[side][plan[0][0]][0]["env"]["src_sha256"],
-            "workloads": {w: summarize(runs[side][w]) for w, _ in plan},
+            "workloads": summaries[side],
         }
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(bench, indent=1) + "\n")
