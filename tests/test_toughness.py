@@ -230,6 +230,7 @@ def _scan_answers(g):
     return answers, sets
 
 
+@pytest.mark.slow
 def test_tight_scans_match_the_full_scans(monkeypatch):
     # every connected labeled graph with n <= 6 and every class at n = 7:
     # the scans over the tight pool and its twin classes give what the same
