@@ -401,7 +401,7 @@ def complete_multipartite(draw, min_n, max_n):
 @st.composite
 def blow_ups(draw, min_n, max_n):
     # a graph on 3-6 vertices, each replaced by a clique or an independent
-    # set of 1-4 vertices; two blobs are joined when their vertices were
+    # set of 1-4 vertices; two blobs are joined when their base vertices are
     base = draw(st.integers(3, 6))
     base_edges = draw(st.sets(st.sampled_from(list(combinations(range(base), 2)))))
     sizes = draw(st.lists(st.integers(1, 4), min_size=base, max_size=base))

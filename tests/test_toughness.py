@@ -205,10 +205,10 @@ def _scan_answers(g):
     per-edge witness searches at tau (None where they find no set) and T12's
     first cutset give on g, and each returned set with the graph it is a
     cutset of."""
-    module = importlib.import_module("toughkit.toughness")
+    module = importlib.import_module("toughkit.toughness")  # patched below
     tau, w = toughness(g)
     answers, sets = [(tau, w)], [(g, w.vertices)]
-    for t in {F(1, 2), F(1), F(3, 2), F(2), tau.value}:
+    for t in sorted({F(1, 2), F(1), F(3, 2), F(2), tau.value}):
         verdict, w = is_t_tough(g, t)
         answers.append((verdict, w))
         if w is not None:
