@@ -70,7 +70,7 @@ from .recognition import (
     _split_verdict,
     _twok2_verdict,
 )
-from .toughness import Toughness, _cutsets, _tight_pool, toughness
+from .toughness import Toughness, _cutsets, toughness
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -303,10 +303,8 @@ def _suite_t12(rec: _Record) -> tuple[list[str], list[str]]:
     if not (rec.clawfree and rec.tau.is_finite):  # connected and noncomplete
         return [], []
     # the size-ordered scan meets its first cutset at size kappa, as did the
-    # toughness search classify already ran, so this costs no more than that;
-    # a minimum separator is tight, so the tight pool and classes keep it
-    pool, twins = _tight_pool(rec.g._nbr, range(rec.g.n))
-    cut, _ = next(_cutsets(rec.g._nbr, pool, lambda size: 2, twins=twins))
+    # toughness search classify already ran, so this costs no more than that
+    cut, _ = next(_cutsets(rec.g._nbr, range(rec.g.n), lambda size: 2))
     kappa = len(cut)
     if 2 * rec.tau.value != kappa:
         return [], [f"tau={rec.tau} kappa={kappa}"]

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .graphs import Graph, component_count, mask_to_tuple, set_to_mask, set_to_str
-from .toughness import Toughness, _checked_set, _checked_t, _cutsets, _tight_pool, toughness
+from .toughness import Toughness, _checked_set, _checked_t, _cutsets, toughness
 
 
 @dataclass(frozen=True)
@@ -101,10 +101,7 @@ def _drop_set(
     if component_count(minus, (1 << g.n) - 1) > 1:
         return ()
     p, q = t.numerator, t.denominator
-    twins = None
-    if apart is None:  # the first violating set is tight in G-e
-        pool, twins = _tight_pool(minus, pool)
-    cutsets = _cutsets(minus, pool, lambda size: q * size // p + 1, apart, twins)
+    cutsets = _cutsets(minus, pool, lambda size: q * size // p + 1, apart)
     return next((combo for combo, _ in cutsets), None)
 
 

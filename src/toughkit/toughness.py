@@ -182,16 +182,14 @@ def _independence_number(nbr: Sequence[int], pool: int) -> int:
     )
 
 
-def _alpha_sums(nbr: Sequence[int], pool: Iterable[int] | None = None) -> list[int]:
-    """Entry s is the sum of the s largest alpha(G[N(v)]) over v in ``pool``
-    (default: every vertex).
+def _alpha_sums(nbr: Sequence[int], pool: Iterable[int]) -> list[int]:
+    """Entry s is the sum of the s largest alpha(G[N(v)]) over v in ``pool``.
 
     A vertex v of a cutset S touches at most alpha(G[N(v)]) components of
     G-S (one neighbor in each is an independent set), and every component
     has at least kappa neighbors in S, so kappa * c(G-S) <= entry |S| for
     every S drawn from the pool.
     """
-    pool = range(len(nbr)) if pool is None else pool
     alphas = sorted((_independence_number(nbr, nbr[v]) for v in pool), reverse=True)
     return list(accumulate(alphas, initial=0))
 
@@ -201,8 +199,9 @@ def _tight_pool(
 ) -> tuple[list[int], list[int] | None]:
     """The pool less its simplicial vertices, and by vertex the mask of its
     class of twins (N(u) - w = N(w) - u) among those left, or None when no
-    two are twins: what a tight set (see ``_cutsets``) is drawn from and a
-    union of.  Twins share N(v) or N(v) | v, never both kinds at once."""
+    two are twins.  ``_cutsets``, its only caller, draws each tight set from
+    these vertices as a union of these classes.  Twins share N(v) or
+    N(v) | v, never both kinds at once."""
     full = (1 << len(nbr)) - 1
     kept = [v for v in pool if not simplicial_in(nbr, full, v)]
     classes: dict[int, int] = {}
@@ -223,10 +222,25 @@ _WALK_ABOVE = 200
 
 def _cutsets(
     nbr: Sequence[int], pool: Sequence[int], need: Callable[[int], int],
-    apart: tuple[int, int] | None = None, twins: Sequence[int] | None = None,
+    apart: tuple[int, int] | None = None,
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """(S, c(G - S)) for cutsets S of the connected graph behind ``nbr``,
     drawn from ``pool`` by size and then lexicographically.
+
+    Without ``apart``, only tight sets are counted: each vertex of S sees
+    two components of G - S.  The callers' answers are tight, as a vertex
+    that sees at most one can leave S and lose none: the smallest minimizer
+    of |S|/c, the first maximizer of t*c - |S|, the smallest S with c >
+    |S|/t and a minimum separator.  A simplicial vertex's neighbours
+    outside S lie in one component, and u in S would see only the
+    component of a twin outside S, so the scan draws from
+    ``_tight_pool(nbr, pool)`` and counts only unions of twin classes.
+
+    With ``apart`` = (a, b), nonadjacent and outside the pool, the whole
+    pool is scanned and only cutsets leaving a and b in different
+    components are yielded.  Each holds W = N(a) & N(b), as a-w-b is a
+    path, so the plain loop counts only subsets holding W, and none if the
+    pool misses part of it.
 
     Before each size s, ``need(s)`` gives the fewest components a set of
     that size must leave to matter; it never falls as s grows or as the
@@ -234,35 +248,21 @@ def _cutsets(
     scan ends at the first size where it exceeds n - s, the most an s-set
     can leave, and skips a size where it exceeds A_s // k (see
     ``_alpha_sums``): every component of G - S has at least k neighbors in
-    S.  k starts at 1 and becomes s + 1 after a size s shown to hold no
-    cutset in the pool: for a larger cutset S from the pool and a component
-    C of G - S, any s-set between N(C) and S would be such a cutset.  The
-    alpha sums are built the first time a size needs more than two
-    components, the fewest any cutset leaves.
-
-    With ``apart`` = (a, b), nonadjacent and outside the pool, only cutsets
-    leaving a and b in different components are yielded, and k stays 1: a
-    size without one proves nothing about k.  Each holds W = N(a) & N(b),
-    as a-w-b is a path, so the plain loop counts only subsets holding W,
-    and none if the pool misses part of it.
-
-    With ``twins`` (from ``_tight_pool``; not with ``apart``), only unions
-    of twin classes are counted.  The callers' answers are tight, each
-    vertex of S seeing two components of G - S, as one that sees at most
-    one can leave S and lose none: the smallest minimizer of |S|/c, the
-    first maximizer of t*c - |S|, the smallest S with c > |S|/t and a
-    minimum separator.  A simplicial vertex's neighbours outside S lie in
-    one component, and u in S would see only the component of a twin
-    outside S.  k then becomes s + 1 only while k = s, no size up to s
-    holding a union: N(C) is one, an s-set between N(C) and S need not be.
+    S.  k is the size of the first cutset, known only while every smaller
+    size was scanned: it starts at 1 and, without ``apart``, becomes s + 1
+    after a size s that held no cutset while k = s.  For a component C of
+    a later cutset S, N(C) is a cutset within S, tight when S is, so it
+    has more than s vertices.  With ``apart`` k stays 1, as a size without
+    a separating set proves nothing.  The alpha sums are built the first
+    time a size needs more than two components, the fewest any cutset
+    leaves.
 
     Sizes before the first with more than ``_WALK_ABOVE`` subsets count
     every subset.  From that size on, ``walk`` scans each size depth first
     in the same order and drops a partial set P, whose last vertex is
     pool[i], once no completion S can leave ``bound`` components.  ``bound``
-    is the need, or 2 while every smaller size is known to hold no cutset
-    (k = s), so that a size without a cutset still raises k.  Every cutset
-    S of a connected graph obeys three bounds:
+    is the need, or 2 while k = s, so that a size without a cutset still
+    raises k.  Every cutset S of a connected graph obeys three bounds:
 
     * k * c <= e(S, V-S) = deg(S) - 2e(S), since each component sends at
       least k edges into S;
@@ -290,15 +290,19 @@ def _cutsets(
     n <= 7 sweep's in 8 of 10 (+5%).  At 200 every sweep scan (n <= 8, at
     most 70 subsets a size) and n = 9 keep the loop.
     """
-    n, m = len(nbr), len(pool)
+    n = len(nbr)
     full = (1 << n) - 1
     k = 1
-    shared, free, ends = 0, pool, -1  # mask & -1 == -1 holds for no mask
-    if apart is not None:
+    twins, shared, ends = None, 0, -1  # mask & -1 == -1 holds for no mask
+    if apart is None:
+        pool, twins = _tight_pool(nbr, pool)
+        free = pool
+    else:
         shared, ends = nbr[apart[0]] & nbr[apart[1]], 1 << apart[0] | 1 << apart[1]
         free = [v for v in pool if not shared >> v & 1]
-        if m - len(free) < shared.bit_count():
+        if len(pool) - len(free) < shared.bit_count():
             return  # a common neighbour outside the pool joins a and b
+    m = len(pool)
 
     def separated(removed):
         return apart is None or all(
@@ -401,9 +405,7 @@ def _cutsets(
             # - e(S) - |S| + 1 can hold
             cross, spare = k * bound, bound + size - 1
             yield from walk(0, (), 0, 0, 0, size - 1, outside_comps, outside_reach)
-        if apart is None and not cut_seen and (
-            k == size if twins is not None else walk is None or bound == 2
-        ):
+        if apart is None and not cut_seen and k == size:
             k = size + 1
 
 
@@ -424,9 +426,8 @@ def toughness(g: Graph) -> tuple[Toughness, WitnessSet | None]:
         return Toughness.zero(), witness_for(g, ())
     best_num, best_den = n, 1  # ratio n/1 beats any real cutset ratio
     best_set: tuple[int, ...] = ()
-    pool, twins = _tight_pool(g._nbr, range(n))
     for combo, omega in _cutsets(
-        g._nbr, pool, lambda size: size * best_den // best_num + 1, twins=twins
+        g._nbr, range(n), lambda size: size * best_den // best_num + 1
     ):
         if len(combo) * best_den < best_num * omega:
             best_num, best_den = len(combo), omega
@@ -480,9 +481,8 @@ def is_t_tough(g: Graph, t: Fraction | int) -> tuple[bool, WitnessSet | None]:
     p, q = t.numerator, t.denominator
     best_score = 0  # p*omega - q*size, positive = violation
     best: WitnessSet | None = None
-    pool, twins = _tight_pool(g._nbr, range(g.n))
     for combo, omega in _cutsets(
-        g._nbr, pool, lambda size: (best_score + q * size) // p + 1, twins=twins
+        g._nbr, range(g.n), lambda size: (best_score + q * size) // p + 1
     ):
         size = len(combo)
         score = p * omega - q * size

@@ -74,3 +74,37 @@ def test_claim_holds_for_a_lower_is_better_metric_and_five_pairs():
     # nine tenths of five pairs is 4.5, so four wins fall short
     assert not bench_pairs.claim_holds("query_p50_ms", parent, faster, 4, 5)
     assert not bench_pairs.claim_holds("query_p50_ms", faster, parent, 5, 5)
+
+
+def _runs(metric, values):
+    return [_run(**{metric: v}) for v in values]
+
+
+def test_no_regression_flags_a_median_worse_than_the_bound():
+    # every bound but peak_rss_mb's is 0.25 of the parent's median
+    parent = _runs("graphs_per_s", [98, 99, 100, 101, 102])
+    slower = _runs("graphs_per_s", [73, 74, 74.5, 76, 77])  # median 74.5: -25.5%
+    assert bench_pairs.no_regression("graphs_per_s", parent, slower) == "worse"
+    within = _runs("graphs_per_s", [74, 75, 76, 77, 78])  # median 76: -24%
+    assert bench_pairs.no_regression("graphs_per_s", parent, within) == "ok"
+    parent = _runs("query_p50_ms", [9, 9.5, 10, 10.5, 11])
+    later = _runs("query_p50_ms", [12, 12.5, 12.6, 13, 13])  # median 12.6: +26%
+    assert bench_pairs.no_regression("query_p50_ms", parent, later) == "worse"
+    assert bench_pairs.no_regression("query_p50_ms", later, parent) == "ok"
+    parent, heavier, lighter = (_runs("peak_rss_mb", [mb] * 3) for mb in (30, 33.1, 32.9))
+    assert bench_pairs.no_regression("peak_rss_mb", parent, heavier) == "worse"  # bound 0.1
+    assert bench_pairs.no_regression("peak_rss_mb", parent, lighter) == "ok"
+
+
+def test_no_regression_is_unresolved_when_the_parent_spreads_past_the_bound():
+    # five query_p50_ms runs of one unchanged tree: q1 = 6.225 and q3 = 7.995
+    # about the median 6.87, so (q3 - q1) / median = 0.258 exceeds 0.25
+    parent = _runs("query_p50_ms", [6.14, 6.31, 6.87, 7.54, 8.45])
+    close = _runs("query_p50_ms", [6.0, 6.5, 6.9, 7.0, 8.0])
+    assert bench_pairs.no_regression("query_p50_ms", parent, close) == "unresolved"
+    # every change run beats every parent run: resolved, and not worse
+    faster = _runs("query_p50_ms", [5.0, 5.5, 5.9, 6.0, 6.1])
+    assert bench_pairs.no_regression("query_p50_ms", parent, faster) == "ok"
+    # a loss past the bound reads worse, whatever the spread
+    slower = _runs("query_p50_ms", [8.0, 8.6, 8.7, 9.0, 9.5])
+    assert bench_pairs.no_regression("query_p50_ms", parent, slower) == "worse"

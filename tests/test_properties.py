@@ -220,7 +220,7 @@ def _combinations_cutsets(nbr, pool, need):
             return
         if least > 2:
             if alpha_sums is None:
-                alpha_sums = _alpha_sums(nbr)
+                alpha_sums = _alpha_sums(nbr, range(n))
             if alpha_sums[size] // k < least:
                 continue
         cut_seen = False
@@ -275,7 +275,9 @@ def gnp(draw, min_n, max_n, densities=(0.2, 0.3, 0.4, 0.5, 0.6, 0.7)):
 def test_walk_yields_the_combinations_scan(g, caller, t, data):
     # graphs of 11-16 vertices, so that the sizes past the walk's subset
     # threshold take the pruned walk; the pools are every vertex, or, in
-    # G - e, every vertex but e's ends or the ends' neighbourhood
+    # G - e, every vertex but e's ends or the ends' neighbourhood.  The scan
+    # yields the plain scan's twin-class unions over the tight pool, in the
+    # same order, and the caller's answer is the plain scan's over the pool
     assume(g.is_connected() and not g.is_complete())
     u, v = data.draw(st.sampled_from(g.edges()))
     minus = g.delete_edge(u, v)
@@ -284,9 +286,12 @@ def test_walk_yields_the_combinations_scan(g, caller, t, data):
         hood = sorted((set(g.neighbors(u)) | set(g.neighbors(v))) - {u, v})
         runs += [(minus, [x for x in range(g.n) if x not in (u, v)]), (minus, hood)]
     for h, pool in runs:
-        assert _driven(_cutsets_under_test, h._nbr, pool, caller, t) == _driven(
-            _combinations_cutsets, h._nbr, pool, caller, t
-        )
+        tight, twins = _tight_pool(h._nbr, pool)
+        unions = _class_unions(twins or [1 << v for v in range(h.n)])
+        seen = _driven(_cutsets_under_test, h._nbr, pool, caller, t)
+        assert seen == _driven(unions, h._nbr, tight, caller, t)
+        full = _driven(_combinations_cutsets, h._nbr, pool, caller, t)
+        assert _answer(seen, caller, t) == _answer(full, caller, t)
 
 
 # The walk's component counts on V - {u, v} and on N({u, v}) - {u, v}, the
@@ -480,16 +485,13 @@ def _answer(seen, caller, t):
     THRESHOLDS,
 )
 def test_twin_scan_yields_the_class_unions_of_the_combinations_scan(g, caller, t):
-    # with the tight pool and its twin classes, the scan (its walk on the
-    # larger pools) yields the plain scan's class unions over that pool, in
-    # the same order; and the caller's answer is the full scan's
+    # given every vertex, the scan (its walk on the larger pools) yields the
+    # plain scan's class unions over the tight pool, in the same order; and
+    # the caller's answer is the full scan's
     assume(g.is_connected() and not g.is_complete())
     pool, twins = _tight_pool(g._nbr, range(g.n))
     unions = _class_unions(twins or [1 << v for v in range(g.n)])
-    seen = _driven(
-        lambda nbr, pool, need: _cutsets_under_test(nbr, pool, need, twins=twins),
-        g._nbr, pool, caller, t,
-    )
+    seen = _driven(_cutsets_under_test, g._nbr, range(g.n), caller, t)
     assert seen == _driven(unions, g._nbr, pool, caller, t)
     full = _driven(_combinations_cutsets, g._nbr, range(g.n), caller, t)
     assert _answer(seen, caller, t) == _answer(full, caller, t)
@@ -504,10 +506,7 @@ def test_class_unions_keep_k_until_a_size_holds_one():
     pool, twins = _tight_pool(g._nbr, range(g.n))
     assert pool == [1, 2, 3, 4, 5] and [twins[v] for v in pool] == [6, 6, 24, 24, 32]
     t = Fraction(5, 2)
-    seen = _driven(
-        lambda nbr, pool, need: _cutsets_under_test(nbr, pool, need, twins=twins),
-        g._nbr, pool, "is_t_tough", t,
-    )
+    seen = _driven(_cutsets_under_test, g._nbr, range(g.n), "is_t_tough", t)
     assert seen == [((5,), 2), ((1, 2, 5), 3), ((3, 4, 5), 3)]
     assert is_t_tough(g, t)[1].vertices == {1, 2, 5}
 

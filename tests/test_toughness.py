@@ -205,7 +205,6 @@ def _scan_answers(g):
     per-edge witness searches at tau (None where they find no set) and T12's
     first cutset give on g, and each returned set with the graph it is a
     cutset of."""
-    module = importlib.import_module("toughkit.toughness")  # patched below
     tau, w = toughness(g)
     answers, sets = [(tau, w)], [(g, w.vertices)]
     for t in sorted({F(1, 2), F(1), F(3, 2), F(2), tau.value}):
@@ -223,8 +222,7 @@ def _scan_answers(g):
             answers.append(w)
             if w is not None and w.vertices:
                 sets.append((minus, w.vertices))
-    pool, twins = module._tight_pool(g._nbr, range(g.n))
-    cut, _ = next(_cutsets(g._nbr, pool, lambda size: 2, twins=twins))
+    cut, _ = next(_cutsets(g._nbr, range(g.n), lambda size: 2))
     answers.append(cut)
     sets.append((g, frozenset(cut)))
     return answers, sets
@@ -240,11 +238,10 @@ def test_tight_scans_match_the_full_scans(monkeypatch):
     graphs += list(enumerate_connected_graphs(7, dedup=True))
     graphs = [g for g in graphs if not g.is_complete()]
     tight = [_scan_answers(g) for g in graphs]
-    for name in ("toughness", "mintough"):
-        monkeypatch.setattr(
-            importlib.import_module(f"toughkit.{name}"), "_tight_pool",
-            lambda nbr, pool: (list(pool), None),
-        )
+    monkeypatch.setattr(
+        importlib.import_module("toughkit.toughness"), "_tight_pool",
+        lambda nbr, pool: (list(pool), None),
+    )
     for g, (answers, sets) in zip(graphs, tight):
         assert _scan_answers(g)[0] == answers, g
         for h, vs in sets:
@@ -365,6 +362,35 @@ def test_partial_set_pruning_work(monkeypatch, g, t, value, witness, budget):
     assert result == value and w.vertices == frozenset(witness)
     monkeypatch.undo()
     assert w.revalidate(g)
+
+
+def test_exhaustive_scan_work(monkeypatch):
+    # every connected labeled graph with n <= 6 and the 853 classes at n = 7
+    # (28,329 graphs): the summed component counts of toughness, and of
+    # is_t_tough at 1/2, 1, 3/2 and 2.  Each budget is the count the scan
+    # made with a second k rule for plain sets, so the one k rule loses no
+    # pruning; a scan that never raised k would skip fewer sizes and raise
+    graphs = [g for n in range(1, 7) for g in _labeled_graphs(n, connected_only=True)]
+    graphs += list(enumerate_connected_graphs(7, dedup=True))
+    assert len(graphs) == 28_329
+    module = importlib.import_module("toughkit.toughness")
+    count = module.component_count
+    calls, budget = 0, 0
+
+    def counted(nbr, pool):
+        nonlocal calls
+        calls += 1
+        assert calls <= budget, "cutset scan ran past its component-count budget"
+        return count(nbr, pool)
+
+    monkeypatch.setattr(module, "component_count", counted)
+    for search, budget in (
+        (lambda g: [toughness(g)], 194_121),
+        (lambda g: [is_t_tough(g, t) for t in (F(1, 2), F(1), F(3, 2), F(2))], 801_897),
+    ):
+        calls = 0
+        for g in graphs:
+            search(g)
 
 
 def test_validate_tough_set():

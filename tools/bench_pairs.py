@@ -20,7 +20,9 @@ which the change did better on the workload's main metric (queries_per_s
 for a ``query-`` workload, graphs_per_s otherwise), in the direction that
 ``BENCHMARK.json`` gives for it, with the verdict ``claim_holds``: the
 change won at least nine tenths of the pairs and its median beats the
-parent's by more than the parent's q3 - q1.
+parent's by more than the parent's q3 - q1.  Per workload and end-to-end
+metric, ``no_regression`` gives the verdict ``worse``, ``unresolved`` or
+``ok`` against that metric's ``bound`` in ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 SECONDS = BENCHMARK["run_seconds"]
 HIGHER_IS_BETTER = {m["name"] for m in BENCHMARK["end_to_end"] if m["better"] == "higher"}
+BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 
 
 def main_metric(workload: str) -> str:
@@ -116,6 +119,24 @@ def claim_holds(metric: str, parent: dict, change: dict, wins: int, pairs: int) 
     return 10 * wins >= 9 * pairs and gap > a["q3"] - a["q1"]
 
 
+def no_regression(metric: str, parent: list[dict], change: list[dict]) -> str:
+    """``worse`` when the change's median of metric (over ``run_once``
+    results) is worse than the parent's by more than the metric's bound, a
+    fraction of the parent's median; ``unresolved`` when the parent's
+    (q3 - q1) / median exceeds the bound and not every change run beats
+    every parent run; ``ok`` otherwise."""
+    a = spread([r["metrics"][metric]["value"] for r in parent])
+    b = spread([r["metrics"][metric]["value"] for r in change])
+    loss = a["value"] - b["value"] if metric in HIGHER_IS_BETTER else b["value"] - a["value"]
+    bound = BOUNDS[metric] * a["value"]
+    if loss > bound:
+        return "worse"
+    if a["q3"] - a["q1"] > bound and not all(
+            change_better(metric, p, c) for p in parent for c in change):
+        return "unresolved"
+    return "ok"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
@@ -179,6 +200,8 @@ def main(argv=None) -> int:
         "python": first["python"],
         "nproc": first["nproc"],
         "wins": wins,
+        "no_regression": {w: {m: no_regression(m, runs["parent"][w], runs["change"][w])
+                              for m in BOUNDS} for w, _ in plan},
     }
     for side, rev in revs.items():
         bench[side] = {
