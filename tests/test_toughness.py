@@ -369,7 +369,8 @@ def test_exhaustive_scan_work(monkeypatch):
     # (28,329 graphs): the summed component counts of toughness, and of
     # is_t_tough at 1/2, 1, 3/2 and 2.  Each budget is the count the scan
     # made with a second k rule for plain sets, so the one k rule loses no
-    # pruning; a scan that never raised k would skip fewer sizes and raise
+    # pruning.  A scan that never raised k counts more, and the counter
+    # raises past the budget
     graphs = [g for n in range(1, 7) for g in _labeled_graphs(n, connected_only=True)]
     graphs += list(enumerate_connected_graphs(7, dedup=True))
     assert len(graphs) == 28_329
