@@ -242,9 +242,11 @@ def _cutsets(
     path, so the plain loop counts only subsets holding W, and none if the
     pool misses part of it.
 
-    Before each size s, ``need(s)`` gives the fewest components a set of
-    that size must leave to matter; it never falls as s grows or as the
-    caller's incumbent improves.  Only cutsets meeting it are yielded.  The
+    ``need(s)`` gives the fewest components a set of size s must leave to
+    matter; it never falls as s grows or as the caller's incumbent
+    improves.  It is read before each size and again after every yielded
+    set, so a set the caller has just accepted prunes from the next one
+    on.  Only cutsets meeting the need of the moment are yielded.  The
     scan ends at the first size where it exceeds n - s, the most an s-set
     can leave, and skips a size where it exceeds A_s // k (see
     ``_alpha_sums``): every component of G - S has at least k neighbors in
@@ -262,7 +264,9 @@ def _cutsets(
     in the same order and drops a partial set P, whose last vertex is
     pool[i], once no completion S can leave ``bound`` components.  ``bound``
     is the need, or 2 while k = s, so that a size without a cutset still
-    raises k.  Every cutset S of a connected graph obeys three bounds:
+    raises k; once the size has held a cutset, k is settled and ``bound``
+    follows the need.  Every cutset S of a connected graph obeys three
+    bounds:
 
     * k * c <= e(S, V-S) = deg(S) - 2e(S), since each component sends at
       least k edges into S;
@@ -336,7 +340,7 @@ def _cutsets(
                 # pool[start:] to ``chosen``; kept: the component masks of G[K];
                 # reach: N(K).  Made once a scan walks: made on every call
                 # it slowed the n <= 6 scans by 5-7%
-                nonlocal cut_seen
+                nonlocal cut_seen, least, bound, cross, spare
                 for i in range(start, m - left):
                     if i > start:  # pool[i - 1] was passed over and joins K
                         u = pool[i - 1]
@@ -380,6 +384,9 @@ def _cutsets(
                         cut_seen = True
                         if omega >= least and separated(removed | 1 << v):
                             yield chosen + (v,), omega
+                            least = max(need(size), 2)
+                        bound = least
+                        cross, spare = k * bound, bound + size - 1
         cut_seen = False
         if walk is None:
             for combo in combinations(free, size - shared.bit_count()):
@@ -399,6 +406,7 @@ def _cutsets(
                         if shared:
                             combo = tuple(v for v in pool if removed >> v & 1)
                         yield combo, omega
+                        least = max(need(size), 2)
         else:
             bound = 2 if k == size else least
             # prune unless k * bound <= deg(S) - 2e(S) and bound <= deg(S)
@@ -417,7 +425,8 @@ def toughness(g: Graph) -> tuple[Toughness, WitnessSet | None]:
     increasing size, lexicographic within a size; the search keeps the
     first strict improvement, so the witness is the smallest minimizing
     cutset, ties broken by lexicographically least vertex tuple.  A size s
-    matters only with more than s/r components, r the incumbent ratio.
+    matters only with more than s/r components, r the incumbent ratio; an
+    improvement prunes the scan from the next set on.
     """
     n = g.n
     if g.is_complete():
@@ -471,7 +480,8 @@ def is_t_tough(g: Graph, t: Fraction | int) -> tuple[bool, WitnessSet | None]:
     (witnessed by the empty set).  On a negative answer the returned witness
     maximizes c(S) * t - |S|, ties broken by smallest size then
     lexicographically least vertex tuple.  With t = p/q, ``_cutsets`` is
-    asked at size s for more than (best score + q*s)/p components.
+    asked at size s for more than (best score + q*s)/p components; a new
+    best score prunes the scan from the next set on.
     """
     t = _checked_t(t)
     if g.is_complete():

@@ -2,6 +2,7 @@
 subprocess, no git, no benchmark run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -12,12 +13,13 @@ bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
 
-def _run(**metrics):
+def _run(passes=4, **metrics):
     """One perfbench result line as ``run_once`` returns it."""
     return {
         "correct": True, "attempted": 3, "failed": 0,
         "metrics": {name: {"value": v, "unit": "u"} for name, v in metrics.items()},
         "raw": {"wall_s": 1.0},
+        "passes": passes,
     }
 
 
@@ -36,6 +38,28 @@ def test_summarize_sums_operations_and_spreads_each_metric():
     assert (s["attempted"], s["failed"], s["runs"], s["correct"]) == (9, 0, 3, True)
     assert s["metrics"]["graphs_per_s"]["value"] == 20
     assert s["metrics"]["graphs_per_s"]["unit"] == "u"
+
+
+def test_parse_result_reads_the_passes_raw_figures_and_env():
+    # the stdout of a perfbench run: info, error_rate and env lines, the
+    # metric lines, and the result line last
+    lines = [
+        json.dumps({"info": {"passes": 59, "samples": 7080, "raw": {"setup_s": 0.2}}}),
+        json.dumps({"error_rate": 0.0}),
+        json.dumps({"env": {"python": "3.11.7", "nproc": 2}}),
+        "queries_per_s 557 1/s",
+        json.dumps({"correct": True, "attempted": 7080, "failed": 0,
+                    "metrics": {"queries_per_s": {"value": 557, "unit": "1/s"}}}),
+    ]
+    r = bench_pairs.parse_result(lines)
+    assert (r["passes"], r["raw"], r["env"]["nproc"]) == (59, {"setup_s": 0.2}, 2)
+    assert (r["correct"], r["attempted"], r["failed"]) == (True, 7080, 0)
+    assert r["metrics"]["queries_per_s"]["value"] == 557
+
+
+def test_summarize_spreads_the_passes():
+    s = bench_pairs.summarize([_run(p, peak_rss_mb=30) for p in (52, 75, 59, 66, 40)])
+    assert s["passes"] == {"value": 59, "q1": 46.0, "q3": 70.5}
 
 
 def test_change_better_follows_the_metric_direction():

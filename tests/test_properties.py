@@ -237,10 +237,13 @@ def _combinations_cutsets(nbr, pool, need):
             k = size + 1
 
 
-def _driven(scan, nbr, pool, caller, t):
+def _driven(scan, nbr, pool, caller, t, live=False):
     """Every (S, c) that ``scan`` yields to a caller asking for components
     as ``toughness``, ``is_t_tough`` or the first-violating-set search does,
-    with the callers' incumbents updated after each yield."""
+    with the callers' incumbents updated after each yield.  With ``live``,
+    a set is dropped when c falls below the need at the moment it arrives:
+    the stream of a scan that re-reads the need after every set, from one
+    that reads it once a size."""
     p, q = t.numerator, t.denominator
     best = [len(nbr), 1, 0]  # toughness's ratio num/den, is_t_tough's score
     need = {
@@ -250,6 +253,8 @@ def _driven(scan, nbr, pool, caller, t):
     }[caller]
     seen = []
     for combo, omega in scan(nbr, pool, need):
+        if live and omega < need(len(combo)):
+            continue
         seen.append((combo, omega))
         if len(combo) * best[1] < best[0] * omega:
             best[:2] = len(combo), omega
@@ -276,8 +281,9 @@ def test_walk_yields_the_combinations_scan(g, caller, t, data):
     # graphs of 11-16 vertices, so that the sizes past the walk's subset
     # threshold take the pruned walk; the pools are every vertex, or, in
     # G - e, every vertex but e's ends or the ends' neighbourhood.  The scan
-    # yields the plain scan's twin-class unions over the tight pool, in the
-    # same order, and the caller's answer is the plain scan's over the pool
+    # yields the plain scan's twin-class unions over the tight pool that meet
+    # the caller's need when they arrive, in the same order, and the caller's
+    # answer is the unfiltered plain scan's over the pool
     assume(g.is_connected() and not g.is_complete())
     u, v = data.draw(st.sampled_from(g.edges()))
     minus = g.delete_edge(u, v)
@@ -289,7 +295,7 @@ def test_walk_yields_the_combinations_scan(g, caller, t, data):
         tight, twins = _tight_pool(h._nbr, pool)
         unions = _class_unions(twins or [1 << v for v in range(h.n)])
         seen = _driven(_cutsets_under_test, h._nbr, pool, caller, t)
-        assert seen == _driven(unions, h._nbr, tight, caller, t)
+        assert seen == _driven(unions, h._nbr, tight, caller, t, live=True)
         full = _driven(_combinations_cutsets, h._nbr, pool, caller, t)
         assert _answer(seen, caller, t) == _answer(full, caller, t)
 
@@ -486,13 +492,14 @@ def _answer(seen, caller, t):
 )
 def test_twin_scan_yields_the_class_unions_of_the_combinations_scan(g, caller, t):
     # given every vertex, the scan (its walk on the larger pools) yields the
-    # plain scan's class unions over the tight pool, in the same order; and
-    # the caller's answer is the full scan's
+    # plain scan's class unions over the tight pool that meet the caller's
+    # need when they arrive, in the same order; and the caller's answer is
+    # the full scan's
     assume(g.is_connected() and not g.is_complete())
     pool, twins = _tight_pool(g._nbr, range(g.n))
     unions = _class_unions(twins or [1 << v for v in range(g.n)])
     seen = _driven(_cutsets_under_test, g._nbr, range(g.n), caller, t)
-    assert seen == _driven(unions, g._nbr, pool, caller, t)
+    assert seen == _driven(unions, g._nbr, pool, caller, t, live=True)
     full = _driven(_combinations_cutsets, g._nbr, range(g.n), caller, t)
     assert _answer(seen, caller, t) == _answer(full, caller, t)
 
@@ -501,13 +508,15 @@ def test_class_unions_keep_k_until_a_size_holds_one():
     # 0 hangs off 5, which sees 1-4; {1, 2} and {3, 4} are twin classes.
     # Size 1 holds the cutset {5}, size 2 no union of classes.  Were k raised
     # to 3 there, A_3 // 3 = 7 // 3 < 3 would skip size 3 and lose {1, 2, 5},
-    # which leaves 0, 3 and 4 apart and is the witness at t = 5/2
+    # which leaves 0, 3 and 4 apart and is the witness at t = 5/2.  Its score
+    # 5 * 3 - 2 * 3 = 9 raises the need at size 3 to (9 + 2 * 3) // 5 + 1 = 4,
+    # so {3, 4, 5}, which leaves 3 components, is no longer yielded
     g = Graph(6, [(0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 5), (4, 5)])
     pool, twins = _tight_pool(g._nbr, range(g.n))
     assert pool == [1, 2, 3, 4, 5] and [twins[v] for v in pool] == [6, 6, 24, 24, 32]
     t = Fraction(5, 2)
     seen = _driven(_cutsets_under_test, g._nbr, range(g.n), "is_t_tough", t)
-    assert seen == [((5,), 2), ((1, 2, 5), 3), ((3, 4, 5), 3)]
+    assert seen == [((5,), 2), ((1, 2, 5), 3)]
     assert is_t_tough(g, t)[1].vertices == {1, 2, 5}
 
 

@@ -335,18 +335,20 @@ def _dense_gnp(n, p, seed):
     "g, t, value, witness, budget",
     [
         # the full per-size scan made 155,382, 106,762, 155,382 and 64,839
-        # counts; the degree bounds alone left 41,304, 2,634, 5,796 and 64,607
-        (zoo.circulant(18, (1, 3)), None, F(1), range(0, 18, 2), 4_433),
-        (zoo.path(18), F(2), False, range(1, 17, 2), 2_634),
-        (zoo.cycle(18), F(3, 2), False, range(0, 18, 2), 5_796),
-        (_dense_gnp(16, 0.6, 1), None, F(3), {1, 2, 4, 5, 6, 7, 9, 10, 12, 13, 14, 15}, 633),
+        # counts; the degree bounds alone left 41,304, 2,634, 5,796 and
+        # 64,607; a walk that held each size's need fixed made 4,432, 2,598,
+        # 5,795 and 632
+        (zoo.circulant(18, (1, 3)), None, F(1), range(0, 18, 2), 2_167),
+        (zoo.path(18), F(2), False, range(1, 17, 2), 142),
+        (zoo.cycle(18), F(3, 2), False, range(0, 18, 2), 178),
+        (_dense_gnp(16, 0.6, 1), None, F(3), {1, 2, 4, 5, 6, 7, 9, 10, 12, 13, 14, 15}, 539),
     ],
     ids=["C18(1,3)", "P18", "C18", "G(16,0.6)"],
 )
 def test_partial_set_pruning_work(monkeypatch, g, t, value, witness, budget):
     # the walk drops partial sets no completion of which leaves enough
-    # components; each budget is the count it makes, at most a third of the
-    # full scan's, and the counter raises past it
+    # components; each budget is the count it makes, and the counter raises
+    # past it
     module = importlib.import_module("toughkit.toughness")
     calls = 0
     count = module.component_count
@@ -362,6 +364,37 @@ def test_partial_set_pruning_work(monkeypatch, g, t, value, witness, budget):
     assert result == value and w.vertices == frozenset(witness)
     monkeypatch.undo()
     assert w.revalidate(g)
+
+
+def test_live_need_work_on_circulants(monkeypatch):
+    # C_n(1,2) for n = 14..18 and C_n(1,3) for n = 14, 16, 18: the summed
+    # component counts of toughness, and of is_t_tough at 1, 3/2 and 2.  A
+    # scan that read the need once a size, and kept bound = 2 through the
+    # size kappa = 4 of C_n(1,2) after its first cutset gave tau = 2, made
+    # 14,190 and 15,216; the counter raises past each budget
+    graphs = [zoo.circulant(n, (1, 2)) for n in range(14, 19)]
+    graphs += [zoo.circulant(n, (1, 3)) for n in (14, 16, 18)]
+    module = importlib.import_module("toughkit.toughness")
+    count = module.component_count
+    calls, budget = 0, 7_928
+
+    def counted(nbr, pool):
+        nonlocal calls
+        calls += 1
+        assert calls <= budget, "cutset scan ran past its component-count budget"
+        return count(nbr, pool)
+
+    monkeypatch.setattr(module, "component_count", counted)
+    for g in graphs:
+        tau, w = toughness(g)
+        if g.has_edge(0, 2):  # C_n(1,2)
+            assert (tau, w.vertices) == (2, {0, 1, 3, 4})
+        else:
+            assert (tau, w.vertices) == (1, frozenset(range(0, g.n, 2)))
+    calls, budget = 0, 10_316
+    for g in graphs:
+        for t in (F(1), F(3, 2), F(2)):
+            is_t_tough(g, t)
 
 
 def test_exhaustive_scan_work(monkeypatch):

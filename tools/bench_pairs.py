@@ -11,10 +11,11 @@ Each revision is exported with ``git archive`` into a fresh directory, so
 neither tree holds a ``__pycache__`` or an earlier ``.bench_out``.  Every
 pair runs ``perfbench/run.py --trace 0`` once in each tree for the
 ``run_seconds`` of ``BENCHMARK.json``, with ``PYTHONDONTWRITEBYTECODE=1``;
-the parent goes first on odd seeds and the change first on even seeds.  Seeds count up from ``--first-seed`` across
-the workloads in the order given.  The script writes ``BENCH_<pr>.json``:
-per side and workload the median with quartiles q1 and q3 of every
-end-to-end metric and of the unscaled wall-clock figures, the summed
+the parent goes first on odd seeds and the change first on even seeds.
+Seeds count up from ``--first-seed`` across the workloads in the order
+given.  The script writes ``BENCH_<pr>.json``: per side and workload the
+median with quartiles q1 and q3 of every end-to-end metric, of the
+unscaled wall-clock figures and of the passes a run made, the summed
 attempted and failed operations, and per workload the number of pairs in
 which the change did better on the workload's main metric (queries_per_s
 for a ``query-`` workload, graphs_per_s otherwise), in the direction that
@@ -23,6 +24,10 @@ change won at least nine tenths of the pairs and its median beats the
 parent's by more than the parent's q3 - q1.  Per workload and end-to-end
 metric, ``no_regression`` gives the verdict ``worse``, ``unresolved`` or
 ``ok`` against that metric's ``bound`` in ``BENCHMARK.json``.
+
+``peak_rss_mb`` grows with the passes a run makes, because perfbench keeps
+every pass's records until the run ends: a faster program fits more passes
+into ``run_seconds`` and reads a higher peak RSS.  Read the two together.
 """
 
 from __future__ import annotations
@@ -72,10 +77,17 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"perfbench failed in {tree} ({workload}, seed {seed}):\n"
                          f"{proc.stderr}")
+    return parse_result(lines)
+
+
+def parse_result(lines: list[str]) -> dict:
+    """The final result line of a perfbench run's stdout, with info.raw,
+    info.passes and env merged in."""
     result = json.loads(lines[-1])
     for line in lines:
         if line.startswith('{"info"'):
-            result["raw"] = json.loads(line)["info"]["raw"]
+            info = json.loads(line)["info"]
+            result["raw"], result["passes"] = info["raw"], info["passes"]
         elif line.startswith('{"env"'):
             result["env"] = json.loads(line)["env"]
     return result
@@ -99,6 +111,7 @@ def summarize(runs: list[dict]) -> dict:
         "attempted": sum(r["attempted"] for r in runs),
         "failed": sum(r["failed"] for r in runs),
         "runs": len(runs),
+        "passes": spread([r["passes"] for r in runs]),
         "metrics": metrics,
         "raw": {name: spread([r["raw"][name] for r in runs]) for name in runs[0]["raw"]},
     }
@@ -193,7 +206,7 @@ def main(argv=None) -> int:
                     f"export without __pycache__"),
         "statistic": ("median over runs, with the quartiles q1 and q3 (statistics.quantiles, "
                       "n=4); attempted and failed are summed; raw holds the unscaled "
-                      "wall-clock figures from info.raw"),
+                      "wall-clock figures from info.raw, passes the info.passes of each run"),
         "pairs": dict(plan),
         "seeds": seeds,
         "order": "alternating: parent first on odd seeds, change first on even seeds",
