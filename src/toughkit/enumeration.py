@@ -8,14 +8,14 @@ cheaper ``_certificate``, which searches only the orderings that respect the
 colour-refined vertex partition.  The isomorph-free enumeration grows
 connected graphs one vertex v at a time and drops a child when a non-cut
 vertex outranks v by (degree, sorted neighbour degrees), the first test of
-canonical augmentation (McKay 1998; proof at ``_dedup_representatives``).
+canonical augmentation (McKay 1998; proof at ``_dedup_levels``).
 Survivors are told apart by certificate and canonicalized once per class.
 Desk scale only.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterator
 
 from .graph6 import graph_from_key
@@ -155,31 +155,31 @@ def _is_canonical_deletion(masks: tuple[int, ...]) -> bool:
     return True
 
 
-def _dedup_representatives(n: int) -> list[Graph]:
-    """One canonically labeled representative per connected isomorphism class.
+def _dedup_levels() -> Iterator[list[Graph]]:
+    """Level k = 1, 2, ...: a canonical representative per connected class, in key order.
 
-    Built level by level: every connected graph has a non-cut vertex, whose
-    deletion leaves a connected graph, so attaching a new vertex v to every
-    non-empty neighbor subset of every connected (k-1)-representative
-    reaches every connected class on k vertices.  A child is dropped before
-    it is certified unless ``_is_canonical_deletion``.  No class is lost:
-    let m be a non-cut vertex of largest invariant in a connected G; G - m
-    is connected, so some representative P is isomorphic to it, and the
-    child of P that is G with its new vertex at m is kept.  Survivors are
-    told apart by ``_certificate``; the lex-min key is computed once per class.
+    Every connected graph has a non-cut vertex, whose deletion leaves a
+    connected graph, so attaching a new vertex v to every non-empty neighbor
+    subset of every connected (k-1)-representative reaches every connected
+    class on k vertices.  A child is dropped before it is certified unless
+    ``_is_canonical_deletion``.  No class is lost: let m be a non-cut vertex
+    of largest invariant in a connected G; G - m is connected, so some
+    representative P is isomorphic to it, and the child of P that is G with
+    its new vertex at m is kept.  Survivors are told apart by
+    ``_certificate``; the lex-min key is computed once per class.
     """
-    reps = [Graph(1)]
-    for k in range(2, n + 1):
-        classes: dict[int, tuple[int, ...]] = {}
+    k, classes = 1, {0: (0,)}
+    while True:
+        keys = sorted(canonical_key(Graph._from_masks(k, m)) for m in classes.values())
+        reps = [graph_from_key(k, key) for key in keys]
+        yield reps
+        k, classes = k + 1, {}
         for g in reps:
             for sub in range(1, 1 << (k - 1)):
                 masks = tuple(m | (sub >> i & 1) << (k - 1) for i, m in enumerate(g._nbr))
                 masks += (sub,)
                 if _is_canonical_deletion(masks):
                     classes.setdefault(_certificate(masks), masks)
-        keys = sorted(canonical_key(Graph._from_masks(k, m)) for m in classes.values())
-        reps = [graph_from_key(k, key) for key in keys]
-    return reps
 
 
 def enumerate_connected_graphs(n: int, dedup: bool) -> Iterator[Graph]:
@@ -190,7 +190,8 @@ def enumerate_connected_graphs(n: int, dedup: bool) -> Iterator[Graph]:
     representative per isomorphism class, in increasing canonical-key order.
     """
     _check_n(n, dedup)
-    yield from _dedup_representatives(n) if dedup else _labeled_graphs(n, connected_only=True)
+    yield from (next(islice(_dedup_levels(), n - 1, None)) if dedup
+                else _labeled_graphs(n, connected_only=True))
 
 
 def _check_n(n: int, dedup: bool) -> None:

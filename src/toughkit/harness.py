@@ -10,12 +10,16 @@ kept out of the payload.
 
 Both sweeps, ``run_suites`` and ``scan_minimally_tough``, read the source
 through one stream, ``_classified``, which owns the sweep's toughness memo
-(keyed by the adjacency-mask tuple) and collects the malformed lines.
-``classify`` and T20 ask the memo for the toughness of g, of each g - e and
-of split expansions.  The memo alone tests connectivity: it answers zero for
-a disconnected graph unsearched and unstored, so each connected graph's
-toughness is searched for once per sweep.  The memo is dropped when the
-stream ends; nothing is cached across calls.
+(keyed by the adjacency-mask tuple) and collects the malformed lines.  The
+memo alone tests connectivity: it answers zero for a disconnected graph
+unsearched and unstored, and searches each connected graph once per sweep,
+keeping its minimizing set S*.  ``classify`` asks if deleting an edge e
+drops tau(g) by the cheapest rung that answers: the memo's stored tau(g -
+e); a proof from S*(g); if g has an induced 2K2, the unstored scan
+``mintough._drops``; else the memo's search, as T20 prints tau(g - e).  T20
+takes tau(X) = tau(g - e) for the split expansion X when S*(g - e) proves
+it, so it searches X mostly for its violation rows (proofs: README,
+"Exactness and determinism").  The memo is dropped when the stream ends.
 
 Suites (all checked with exact rational arithmetic):
 
@@ -46,7 +50,7 @@ from fractions import Fraction
 from itertools import compress
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .enumeration import _check_n, enumerate_connected_graphs
+from .enumeration import _check_n, _dedup_levels, enumerate_connected_graphs
 from .families import (
     delete_and_complete,
     is_long_cycle,
@@ -54,8 +58,11 @@ from .families import (
     recognize_split_min_tough,
 )
 from .graph6 import DEFAULT_VERTEX_CAP, Graph6Error, check_cap, encode_graph6, parse_graph6
-from .graphs import Graph, component_masks, set_to_str, simplicial_vertices
+from .graphs import (
+    Graph, component_count, component_masks, set_to_mask, set_to_str, simplicial_vertices,
+)
 from .mintough import (
+    _drops,
     clawfree_half_witness,
     edge_deletion_witness,
     twok2_neighborhood_witness,
@@ -70,10 +77,12 @@ from .recognition import (
     _split_verdict,
     _twok2_verdict,
 )
-from .toughness import Toughness, _cutsets, toughness
+from .toughness import Toughness, WitnessSet, _cutsets, toughness
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
+
+_Answer = tuple[Toughness, WitnessSet | None]  # what ``toughness`` returns
 
 
 # -- sources -------------------------------------------------------------------
@@ -107,9 +116,11 @@ class EnumerationSource:
         return f"enumeration {span} mode={self.mode}"
 
     def __iter__(self) -> Iterator[tuple[Graph | None, str | None]]:
-        for n in self.ns:
-            for g in enumerate_connected_graphs(n, dedup=self._dedup(n)):
-                yield g, None
+        levels = enumerate(_dedup_levels(), start=1)
+        for n in self.ns:  # sorted: one run builds each dedup level once
+            yield from ((g, None) for g in (
+                next(level for k, level in levels if k == n) if self._dedup(n)
+                else enumerate_connected_graphs(n, dedup=False)))
 
 
 class Graph6Source:
@@ -139,24 +150,31 @@ class _ToughnessMemo:
     """Toughness of every graph one sweep asks about, each searched once.
 
     A disconnected graph gets zero from one connectivity test, unsearched
-    and unstored.  Keys are adjacency-mask tuples, which also fix n; equal
-    values share one ``Toughness`` object, which keeps the memo small.
+    and unstored.  Keys are adjacency-mask tuples, which also fix n.  Each
+    entry is what ``toughness`` returned; equal answers share one tuple, so
+    an entry is one pointer, as when only tau was kept.
     """
 
     __slots__ = ("_tau", "_values")
 
     def __init__(self) -> None:
-        self._tau: dict[tuple[int, ...], Toughness] = {}
-        self._values: dict[Toughness, Toughness] = {}
+        self._tau: dict[tuple[int, ...], _Answer] = {}
+        self._values: dict[_Answer, _Answer] = {}
 
     def __call__(self, g: Graph) -> Toughness:
-        tau = self._tau.get(g._nbr)
-        if tau is None:
+        return self.search(g)[0]
+
+    def peek(self, g: Graph) -> _Answer | None:
+        return self._tau.get(g._nbr)
+
+    def search(self, g: Graph) -> _Answer:
+        answer = self._tau.get(g._nbr)
+        if answer is None:
             if not g.is_connected():
-                return Toughness.zero()
-            tau, _ = toughness(g)
-            tau = self._tau[g._nbr] = self._values.setdefault(tau, tau)
-        return tau
+                return Toughness.zero(), None
+            answer = toughness(g)
+            answer = self._tau[g._nbr] = self._values.setdefault(answer, answer)
+        return answer
 
 
 class _Record(NamedTuple):
@@ -167,34 +185,45 @@ class _Record(NamedTuple):
     split: bool
     clawfree: bool
     twok2: bool
-    tau_of: Callable[[Graph], Toughness]  # the sweep's toughness memo
+    tau_of: _ToughnessMemo  # the sweep's toughness memo
+    # of a 2K2-free g, each edge classify asked about: g - e, its answer
+    minus: dict[tuple[int, int], tuple[Graph, _Answer | None]]
 
     @property
     def g6(self) -> str:
         return encode_graph6(self.g)
 
 
-def classify(g: Graph, tau_of: Callable[[Graph], Toughness]) -> _Record:
+def classify(g: Graph, tau_of: _ToughnessMemo) -> _Record:
     """One-pass classification shared by every suite.
 
     ``tau_of`` is the sweep's toughness memo.  g is minimally t-tough,
-    t = tau(g), when deleting any edge drops the toughness below t; a bridge
-    does, as the memo answers zero for the disconnected g - e.
+    t = tau(g), when deleting any edge drops the toughness below t; edges
+    are asked in turn, until one does not, by the module's ladder.
     """
-    tau = tau_of(g)
-    t: Fraction | None = None
-    if tau.is_finite and all(tau_of(g.delete_edge(*e)) < tau for e in g.edges()):
-        t = tau.value
-    return _Record(
-        g,
-        tau,
-        t,
-        _chordal_verdict(g),
-        _split_verdict(g),
-        _clawfree_verdict(g),
-        _twok2_verdict(g),
-        tau_of,
-    )
+    tau, cut = tau_of.search(g)
+    twok2 = _twok2_verdict(g)
+    minus = {}
+    t = tau.value if tau.is_finite else None
+    rest = ((1 << g.n) - 1) ^ set_to_mask(cut.vertices) if t else 0
+    for u, v in g.edges() if t else ():
+        h = g.delete_edge(u, v)
+        known = tau_of.peek(h)
+        if known is None and rest >> u & rest >> v & 1 and (
+                component_count(h._nbr, rest) > cut.component_count):  # a bridge of G - S*
+            drop = True
+        elif known is None and not twok2:
+            drop = _drops(g, t, (u, v))
+        else:
+            known = known or tau_of.search(h)
+            drop = known[0] < tau
+        if twok2:
+            minus[u, v] = h, known
+        if not drop:
+            t = None
+            break
+    return _Record(g, tau, t, _chordal_verdict(g), _split_verdict(g), _clawfree_verdict(g),
+                   twok2, tau_of, minus)
 
 
 def _classified(
@@ -384,14 +413,23 @@ def _suite_t20(rec: _Record) -> tuple[list[str], list[str]]:
     if not (rec.twok2 and not rec.tau.is_zero):
         return [], []
     g = rec.g
+    full = (1 << g.n) - 1
     violations = []
     for e in g.edges():
-        tau_minus = rec.tau_of(g.delete_edge(*e))
+        h, known = rec.minus.get(e) or (g.delete_edge(*e), None)
+        tau_minus, cut = known or rec.tau_of.search(h)
         if tau_minus.is_zero:  # e is a bridge
             continue
         # the record's twok2 and the connected g - e give split_expand's preconditions
         expanded = delete_and_complete(g, e)
-        tau_exp = rec.tau_of(expanded)
+        known = rec.tau_of.peek(expanded)
+        if known is not None:
+            tau_exp = known[0]
+        elif component_count(expanded._nbr, full ^ set_to_mask(cut.vertices)) == (
+                cut.component_count):  # S*(g - e) proves tau(expanded) = tau(g - e)
+            tau_exp = tau_minus
+        else:
+            tau_exp = rec.tau_of(expanded)
         if tau_exp != tau_minus:
             violations.append(
                 f"edge={e[0]}-{e[1]} tau-expanded={tau_exp} tau-deleted={tau_minus}"

@@ -8,9 +8,9 @@ search, ``_drop_set``, finds it, drawing S from every vertex
 (``edge_deletion_witness``) or from the endpoints' neighborhood
 (``twok2_neighborhood_witness``); the claw-free witness is its size-one
 case at t = 1/2.  It returns the smallest set, ties broken by
-lexicographically least vertex tuple.  The minimal-toughness decision asks
-it for every edge uv at t = tau(G), where only sets that separate u from v
-can answer, and scans only those.  Every witness, found by a search or
+lexicographically least vertex tuple.  The per-edge decision ``_drops``
+asks it at t = tau(G), where only sets that separate u from v can answer,
+and scans only those.  Every witness, found by a search or
 given by a formula, is built by
 ``_edge_witness``, the one place that states the rule and counts the
 components; ``EdgeWitness.holds`` checks a witness by rebuilding it.
@@ -115,26 +115,27 @@ def is_minimally_t_tough(g: Graph, t: Fraction | int) -> bool:
 def minimal_toughness_value(g: Graph, tau: Toughness | None = None) -> Fraction | None:
     """The t for which g is minimally t-tough, or None; ``tau`` is tau(g) if known.
 
-    ``_drop_set`` decides each edge: it drops the toughness when it is a
-    bridge (g is connected) or when G-e has a cutset S with c(S) > |S|/t,
-    and the search for S stops at the first one.  As t = tau(g), each
-    cutset S of g has c(G-S) <= |S|/t, so S must make e = uv a bridge of
-    G-S: the search leaves out u and v and scans only the sets that
-    separate them in G-e (``apart``), since any other S has c((G-e)-S) =
-    c(G-S).  At t > tau(g) this fails: a cutset with c(G-S) > |S|/t meets
-    the need.  Queries do not use the sweep's form ``tau(g - e) < t`` over
-    a memo, which took 10.2x as long on the benchmark's 14-18 vertex graphs.
+    ``_drops`` decides each edge.  Queries do not search tau(g - e) per
+    edge, which took 10.2x as long on the benchmark's 14-18 vertex graphs;
+    a sweep asks ``_drops`` only after its cheaper rungs (``harness``).
     """
     if tau is None:
         tau, _ = toughness(g)
     if not tau.is_finite:
         return None
     t = tau.value
-    for u, v in g.edges():
-        pool = tuple(x for x in range(g.n) if x != u and x != v)
-        if _drop_set(g, t, (u, v), pool, apart=(u, v)) is None:
-            return None
-    return t
+    return t if all(_drops(g, t, e) for e in g.edges()) else None
+
+
+def _drops(g: Graph, t: Fraction, e: tuple[int, int]) -> bool:
+    """Does deleting the edge e = uv of the connected g drop the toughness
+    below t = tau(g)?  Only a set S making e a bridge of G-S can show it,
+    as any other has c((G-e)-S) = c(G-S) <= |S|/t, so ``_drop_set`` scans
+    only the sets that separate u and v (``apart``), to the first.  At
+    t > tau(g) this fails: a cutset with c(G-S) > |S|/t meets the need."""
+    u, v = e
+    pool = tuple(x for x in range(g.n) if x != u and x != v)
+    return _drop_set(g, t, e, pool, apart=e) is not None
 
 
 def _build_witness(

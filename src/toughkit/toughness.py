@@ -54,10 +54,11 @@ class Toughness:
 
     @classmethod
     def finite(cls, value: Fraction | int | str) -> "Toughness":
-        value = Fraction(value)
-        if value <= 0:
+        tau = cls.__new__(cls)  # __init__ would build and check the value again
+        tau._value = Fraction(value)
+        if tau._value.numerator <= 0:
             raise ValueError("finite toughness must be positive")
-        return cls(value)
+        return tau
 
     @property
     def is_infinite(self) -> bool:
@@ -286,13 +287,11 @@ def _cutsets(
     the rest of the loop goes, as it does once a component of G[K] holds
     both vertices of ``apart``.
 
-    Measured on this engine, thresholds from 0 to 1,000 time alike on the
-    14-18 vertex queries, but on small graphs a walk step costs as much as
-    the count it saves.  Walking every size cut the labeled n <= 6 sweep's
-    component counts from 528,412 to 245,981, yet on a 2-core host its CPU
-    time rose in 8 of 8 alternating pairs (median +13%), and the dedup
-    n <= 7 sweep's in 8 of 10 (+5%).  At 200 every sweep scan (n <= 8, at
-    most 70 subsets a size) and n = 9 keep the loop.
+    On small graphs a walk step costs as much as the count it saves:
+    walking every size halves the sweeps' component counts yet raises their
+    CPU time by 5-13% on a 2-core host.  At 200 every scan with n <= 9
+    keeps the loop; on the 14-18 vertex queries thresholds from 0 to 1,000
+    time alike.
     """
     n = len(nbr)
     full = (1 << n) - 1

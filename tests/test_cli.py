@@ -309,10 +309,22 @@ def test_verify_prints_one_sweep_time(capsys):
             0,
             "6da340adde22cd826756bfe4199f7c3a91e77505a535a69d67154f8102903b77",
         ),
+        (
+            ["verify", "all", "--enumerate", "7", "--dedup", "always"],
+            1,
+            "ddd31cb13f9f4b66870fc72062eb133de9d155a4563b3ab6cefdeea577186f77",
+        ),
+        (
+            ["scan", "--enumerate", "7", "--dedup", "always"],
+            0,
+            "444d0650b595a9722f9f33f617fe366b7b50e7669c491ee1d063660113156f06",
+        ),
     ],
 )
 def test_sweep_stdout_is_pinned(argv, want_code, want_sha256):
-    # reference outputs: caching toughness within a sweep must not change a byte
+    # reference outputs: caching toughness within a sweep, answering the
+    # per-edge questions by the cheapest rung and building each dedup level
+    # once must not change a byte
     code, out = run_cli(argv)
     assert code == want_code
     assert hashlib.sha256(out.encode()).hexdigest() == want_sha256

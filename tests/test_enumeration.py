@@ -14,7 +14,7 @@ from toughkit import (
 from toughkit import enumeration
 from toughkit.enumeration import (
     _certificate,
-    _dedup_representatives,
+    _dedup_levels,
     _is_canonical_deletion,
     _labeled_graphs,
     enumerate_trees,
@@ -148,7 +148,7 @@ def test_filtered_levels_match_unfiltered_growth_up_to_n7(monkeypatch):
         return cert
 
     monkeypatch.setattr(enumeration, "_certificate", recording)
-    filtered = {k: _dedup_representatives(k) for k in range(1, 8)}
+    filtered = dict(zip(range(1, 8), _dedup_levels()))
     reps = [Graph(1)]
     for k in range(2, 8):
         classes = {}
@@ -172,7 +172,7 @@ def test_n7_level_certifies_at_most_1477_candidates(monkeypatch):
         return _certificate(masks)
 
     monkeypatch.setattr(enumeration, "_certificate", counting)
-    assert len(_dedup_representatives(7)) == 853
+    assert len(list(enumerate_connected_graphs(7, dedup=True))) == 853
     assert calls[7] <= 1477
 
 

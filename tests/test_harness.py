@@ -1,4 +1,5 @@
 import importlib
+import io
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,11 @@ from toughkit import (
 from toughkit import harness
 from toughkit.harness import SUITES, _ToughnessMemo, classify
 from toughkit.enumeration import enumerate_connected_graphs
+from toughkit.families import delete_and_complete
 from toughkit.graph6 import graph_from_key
-from toughkit.mintough import minimal_toughness_value
+from toughkit.graphs import component_count, set_to_mask
+from toughkit.mintough import _drops, minimal_toughness_value
+from toughkit.toughness import toughness
 
 F = Fraction
 
@@ -315,3 +319,99 @@ def test_scan_and_reports_read_one_stream(source, monkeypatch):
     # the scan keeps repeated lines, the reports list each graph once
     c1 = reports[list(SUITES).index("C1")]
     assert list(dict.fromkeys((r.g6, f"t={r.t}") for r in rows)) == c1.instances
+
+
+def test_dedup_sweep_work(monkeypatch):
+    # verify all --enumerate 7 --dedup always: toughness searches and the
+    # toughness module's component counts, each against its budget, and one
+    # canonical_key call per class of levels 1..7.  Searching every g - e
+    # and expansion took 7,045 searches and 112,327 counts, and rebuilding
+    # levels 1..n-1 for every n took 1,180 keys
+    from toughkit import cli, enumeration
+
+    module = importlib.import_module("toughkit.toughness")
+    calls = {"search": 0, "count": 0, "key": 0}
+    budget = {"search": 4_749, "count": 93_494, "key": 996}
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            assert calls[name] <= budget[name], f"{name} ran past its budget"
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(harness, "toughness", counted("search", harness.toughness))
+    monkeypatch.setattr(module, "component_count", counted("count", module.component_count))
+    monkeypatch.setattr(enumeration, "canonical_key", counted("key", enumeration.canonical_key))
+    assert cli.run(["verify", "all", "--enumerate", "7", "--dedup", "always"], io.StringIO()) == 1
+    assert calls["key"] == 996
+
+
+@pytest.fixture(scope="module")
+def ladder():
+    """Every connected labeled graph with n <= 6 and every class with
+    n = 7, and a cache of their searched toughness and that of the graphs
+    derived from them."""
+    graphs = [g for n in range(1, 7) for g in enumerate_connected_graphs(n, dedup=False)]
+    answers = {}
+
+    def searched(h):
+        if h._nbr not in answers:
+            answers[h._nbr] = toughness(h)
+        return answers[h._nbr]
+
+    return graphs + list(enumerate_connected_graphs(7, dedup=True)), searched
+
+
+def test_each_rung_answers_as_the_searched_drop(ladder):
+    # the definition tau(g - e) < tau(g), searched, against the proof from
+    # the minimizing set S* of g and the first-violator scan on every edge,
+    # and against classify on every graph with a fresh memo, so that no
+    # stored answer hides the other rungs
+    graphs, searched = ladder
+    proved = scanned = 0
+    for g in graphs:
+        tau, cut = searched(g)
+        if not tau.is_finite:
+            continue
+        rest = ((1 << g.n) - 1) ^ set_to_mask(cut.vertices)
+        drops = []
+        for u, v in g.edges():
+            h = g.delete_edge(u, v)
+            drops.append(searched(h)[0] < tau)
+            if rest >> u & rest >> v & 1 and (
+                    component_count(h._nbr, rest) > cut.component_count):
+                assert drops[-1], (g, (u, v))
+                proved += 1
+            assert _drops(g, tau.value, (u, v)) == drops[-1], (g, (u, v))
+            scanned += 1
+        assert classify(g, _ToughnessMemo()).t == (tau.value if all(drops) else None), g
+    # the proof settles about one edge question in six
+    assert (scanned, proved) == (227_990, 37_499)
+
+
+def test_t20_expansion_proof_matches_the_searched_toughness(ladder):
+    # wherever S*(g - e) leaves as many components in the expansion, the
+    # searched tau(expansion) equals tau(g - e); and T20 on the sweep's
+    # records gives the rows of searching every g - e and every expansion
+    graphs, searched = ladder
+    memo = _ToughnessMemo()
+    fired = 0
+    for rec in map(lambda g: classify(g, memo), graphs):
+        if not rec.twok2 or rec.tau.is_zero:
+            continue
+        g, want = rec.g, []
+        for e in g.edges():
+            tau_minus, cut = searched(g.delete_edge(*e))
+            if tau_minus.is_zero:
+                continue
+            expanded = delete_and_complete(g, e)
+            tau_exp, _ = searched(expanded)
+            rest = ((1 << g.n) - 1) ^ set_to_mask(cut.vertices)
+            if component_count(expanded._nbr, rest) == cut.component_count:
+                assert tau_exp == tau_minus, (g, e)
+                fired += 1
+            if tau_exp != tau_minus:
+                want.append(f"edge={e[0]}-{e[1]} tau-expanded={tau_exp} tau-deleted={tau_minus}")
+        assert SUITES["T20"](rec) == ([], want), g
+    assert fired == 79_605

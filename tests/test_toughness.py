@@ -36,8 +36,10 @@ def test_toughness_value_type():
     assert Toughness.finite(1) == 1 and Toughness.zero() == 0
     assert Toughness.finite(F(1, 2)) < 1
     assert Toughness.infinite() > F(1000)
-    with pytest.raises(ValueError):
-        Toughness.finite(0)
+    for value in (0, -1, F(-1, 2), "0", "-3/2"):
+        with pytest.raises(ValueError, match="finite toughness must be positive"):
+            Toughness.finite(value)
+    assert Toughness.finite("3/2").value == F(3, 2) and Toughness.finite(F(6, 4)) == F(3, 2)
     with pytest.raises(ValueError):
         Toughness.infinite().value
 
