@@ -397,10 +397,11 @@ def test_t20_expansion_proof_matches_the_searched_toughness(ladder):
     graphs, searched = ladder
     memo = _ToughnessMemo()
     fired = 0
-    for rec in map(lambda g: classify(g, memo), graphs):
+    for g in graphs:
+        rec = classify(g, memo)
         if not rec.twok2 or rec.tau.is_zero:
             continue
-        g, want = rec.g, []
+        want = []
         for e in g.edges():
             tau_minus, cut = searched(g.delete_edge(*e))
             if tau_minus.is_zero:
