@@ -367,6 +367,8 @@ def _suite_c18(rec: _Record) -> tuple[list[str], list[str]]:
     full = (1 << g.n) - 1
     violations = []
     for removed in range(1, full):
+        if removed.bit_count() > g.n - 4:
+            continue  # two components of size >= 2 need 4 vertices left
         comps = component_masks(g._nbr, full ^ removed)
         if len(comps) < 2:
             continue

@@ -128,14 +128,45 @@ def minimal_toughness_value(g: Graph, tau: Toughness | None = None) -> Fraction 
 
 
 def _drops(g: Graph, t: Fraction, e: tuple[int, int]) -> bool:
-    """Does deleting the edge e = uv of the connected g drop the toughness
-    below t = tau(g)?  Only a set S making e a bridge of G-S can show it,
-    as any other has c((G-e)-S) = c(G-S) <= |S|/t, so ``_drop_set`` scans
-    only the sets that separate u and v (``apart``), to the first.  At
-    t > tau(g) this fails: a cutset with c(G-S) > |S|/t meets the need."""
+    """Does deleting the edge e of the connected g drop the toughness below
+    t = tau(g)?"""
+    return _separating_drop_set(g, t, e) is not None
+
+
+def _separating_drop_set(
+    g: Graph, t: Fraction, e: tuple[int, int]
+) -> tuple[int, ...] | None:
+    """``_drop_set`` for the edge e = uv of the connected g at t = tau(g).
+    Only a set S making e a bridge of G-S can show the drop, as any other
+    has c((G-e)-S) = c(G-S) <= |S|/t, so only the sets that separate u and
+    v are scanned (``apart``), to the first.  At t > tau(g) this fails: a
+    cutset with c(G-S) > |S|/t meets the need."""
     u, v = e
     pool = tuple(x for x in range(g.n) if x != u and x != v)
-    return _drop_set(g, t, e, pool, apart=e) is not None
+    return _drop_set(g, t, e, pool, apart=e)
+
+
+def _minimal_edge_witness(
+    g: Graph, e: tuple[int, int]
+) -> tuple[Fraction, EdgeWitness] | None:
+    """(t, the ``edge_deletion_witness`` of the edge e at t) when g is
+    minimally t-tough, else None; each edge is scanned once.
+
+    At t = tau(g) a set S qualifies for e in both scans exactly when it
+    misses u and v and separates them in G-e, and the smallest qualifying
+    sets are tight, so the first set of e's separating scan is the witness.
+    e is decided first and its witness built from that set; then the other
+    edges are decided.
+    """
+    e = _checked_edge(g, e)
+    tau, _ = toughness(g)
+    if not tau.is_finite:
+        return None
+    t = tau.value
+    combo = _separating_drop_set(g, t, e)
+    if combo is None or not all(_drops(g, t, f) for f in g.edges() if f != e):
+        return None
+    return t, _build_witness(g, e, t, combo)
 
 
 def _build_witness(

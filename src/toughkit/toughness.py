@@ -22,9 +22,11 @@ from .graphs import (
     component_count,
     component_masks,
     mask_to_tuple,
+    neighbourhood_tables,
     set_to_mask,
     set_to_str,
     simplicial_in,
+    table_component_count,
     vertex_connectivity,
 )
 from .recognition import is_claw_free
@@ -285,7 +287,9 @@ def _cutsets(
     component masks of G[K] and N(K) as vertices join K.  The third bound
     with pool[i] counted in L never grows with i, so once it falls short
     the rest of the loop goes, as it does once a component of G[K] holds
-    both vertices of ``apart``.
+    both vertices of ``apart``.  The walk counts the components of each
+    set it reaches by ``table_component_count`` over
+    ``neighbourhood_tables(nbr)``, built with the walk's other tables.
 
     On small graphs a walk step costs as much as the count it saves:
     walking every size halves the sweeps' component counts yet raises their
@@ -333,6 +337,7 @@ def _cutsets(
             outside_reach = 0
             for u in mask_to_tuple(outside):
                 outside_reach |= nbr[u]
+            tables = neighbourhood_tables(nbr)
 
             def walk(start, chosen, removed, deg, inner, left, kept, reach):
                 # the cutsets of this size that add ``left`` + 1 vertices from
@@ -378,7 +383,7 @@ def _cutsets(
                             closed |= twins[u]
                         if closed != removed | 1 << v:
                             continue
-                    omega = component_count(nbr, full ^ removed ^ 1 << v)
+                    omega = table_component_count(tables, full ^ removed ^ 1 << v)
                     if omega >= 2:
                         cut_seen = True
                         if omega >= least and separated(removed | 1 << v):
@@ -421,25 +426,42 @@ def toughness(g: Graph) -> tuple[Toughness, WitnessSet | None]:
 
     Complete graphs give (inf, None).  Disconnected graphs give (0, witness
     with the empty set).  Otherwise ``_cutsets`` scans cutsets in
-    increasing size, lexicographic within a size; the search keeps the
-    first strict improvement, so the witness is the smallest minimizing
-    cutset, ties broken by lexicographically least vertex tuple.  A size s
-    matters only with more than s/r components, r the incumbent ratio; an
-    improvement prunes the scan from the next set on.
+    increasing size, lexicographic within a size, from the incumbent
+    ratio (n - |I|)/|I| of V - I, I a greedy least-degree independent set
+    (|I| >= 2 as g is not complete).  Until a set is kept, a set of size s
+    matters with at least s/r components, r the incumbent ratio, and after
+    that only with more, so the search keeps the first set that reaches
+    the seed and then each strict improvement.  The smallest minimizing
+    cutset, ties broken by lexicographically least vertex tuple, meets the
+    need of every moment before it and no later set meets the need after
+    it, so it is the witness, as in an unseeded search.  A kept set prunes
+    the scan from the next set on.
     """
     n = g.n
     if g.is_complete():
         return Toughness.infinite(), None
     if not g.is_connected():
         return Toughness.zero(), witness_for(g, ())
-    best_num, best_den = n, 1  # ratio n/1 beats any real cutset ratio
+    nbr = g._nbr
+    size, left = 0, (1 << n) - 1
+    while left:  # add a vertex of least degree in G[left] to I
+        m, least = left, n
+        while m:
+            b = m & -m
+            m ^= b
+            d = (nbr[b.bit_length() - 1] & left).bit_count()
+            if d < least:
+                least, pick = d, b
+        size += 1
+        left &= ~(nbr[pick.bit_length() - 1] | pick)
+    best_num, best_den = n - size, size
     best_set: tuple[int, ...] = ()
+    # s/c <= r before the first set is kept, s/c < r after: for integers,
+    # ceil(a/b) = (a - 1)//b + 1
     for combo, omega in _cutsets(
-        g._nbr, range(n), lambda size: size * best_den // best_num + 1
+        nbr, range(n), lambda s: (s * best_den - (not best_set)) // best_num + 1
     ):
-        if len(combo) * best_den < best_num * omega:
-            best_num, best_den = len(combo), omega
-            best_set = combo
+        best_num, best_den, best_set = len(combo), omega, combo
     ratio = Fraction(best_num, best_den)
     return (
         Toughness.finite(ratio),
@@ -480,7 +502,10 @@ def is_t_tough(g: Graph, t: Fraction | int) -> tuple[bool, WitnessSet | None]:
     maximizes c(S) * t - |S|, ties broken by smallest size then
     lexicographically least vertex tuple.  With t = p/q, ``_cutsets`` is
     asked at size s for more than (best score + q*s)/p components; a new
-    best score prunes the scan from the next set on.
+    best score prunes the scan from the next set on.  The best score starts
+    at 0: seeded from V - I, as ``toughness`` is, it raised the counts on
+    C_18 at t = 3/2 from 178 to 600, as a size the seed's need skips does
+    not raise k.
     """
     t = _checked_t(t)
     if g.is_complete():

@@ -1,3 +1,4 @@
+import importlib
 import sys
 from pathlib import Path
 
@@ -17,3 +18,35 @@ def sweep7():
     """
     reports = run_suites(list(SUITES), EnumerationSource(range(1, 8)))
     return {rep.suite: rep for rep in reports}
+
+
+class Budget:
+    """Counts the calls of the functions it wraps; the count raises once it
+    passes ``limit``, so a search that loses a cutoff fails instead of
+    hanging."""
+
+    def __init__(self, limit, what):
+        self.calls, self.limit, self.what = 0, limit, what
+
+    def wrap(self, real):
+        def counted(*args):
+            self.calls += 1
+            assert self.calls <= self.limit, f"{self.what} ran past its budget"
+            return real(*args)
+
+        return counted
+
+
+@pytest.fixture
+def count_components(monkeypatch):
+    """count_components(limit) counts the toughness module's component
+    counts, by BFS and by table, against a ``Budget``."""
+    module = importlib.import_module("toughkit.toughness")
+
+    def install(limit, what="cutset scan"):
+        budget = Budget(limit, what)
+        for name in ("component_count", "table_component_count"):
+            monkeypatch.setattr(module, name, budget.wrap(getattr(module, name)))
+        return budget
+
+    return install

@@ -19,7 +19,12 @@ from toughkit import (
     vertex_connectivity,
 )
 from toughkit.enumeration import _labeled_graphs, enumerate_trees
-from toughkit.graphs import component_count, component_masks
+from toughkit.graphs import (
+    component_count,
+    component_masks,
+    neighbourhood_tables,
+    table_component_count,
+)
 
 
 def test_graph_construction_and_accessors():
@@ -87,6 +92,19 @@ def test_component_masks_on_named_graphs():
 def test_component_masks_ordered_by_least_vertex():
     g = Graph(6, [(0, 1), (2, 3), (2, 4)])
     assert component_masks(g._nbr, 0b011111) == [0b000011, 0b011100]
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 24, 25, 32, 64])
+def test_table_count_matches_component_count(n):
+    # chunk widths change at n = 9, 17 and 25, and the last chunk is short
+    # at n = 9, 17 and 25; each graph is counted on random pools, the full
+    # pool and the empty one
+    rng = random.Random(n)
+    for p in (0.05, 0.1, 0.2, 0.4):
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        tables = neighbourhood_tables(g._nbr)
+        for pool in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(100)]:
+            assert table_component_count(tables, pool) == component_count(g._nbr, pool)
 
 
 def test_bridges_examples():

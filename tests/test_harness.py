@@ -1,5 +1,6 @@
 import importlib
 import io
+import math
 from fractions import Fraction
 
 import pytest
@@ -297,6 +298,35 @@ def test_witness_suites_report_failed_searches_per_edge():
     )
 
 
+def test_c18_checks_every_set_that_can_violate():
+    # graphs with an induced 2K2, passed in as 2K2-free records: C18 skips
+    # the sets that leave fewer than 4 vertices, and its rows are those of
+    # the loop over every set, at least one per graph (V less the 2K2
+    # leaves two components of size 2), so the check still catches a wrong
+    # 2K2-free verdict
+    from toughkit.enumeration import _labeled_graphs
+    from toughkit.graphs import component_masks
+    from toughkit.recognition import is_2k2_free
+
+    checked = 0
+    for n in range(5, 7):
+        for g in _labeled_graphs(n, connected_only=True):
+            if is_2k2_free(g).verdict:
+                continue
+            full = (1 << n) - 1
+            expected = []
+            for removed in range(1, full):
+                comps = component_masks(g._nbr, full ^ removed)
+                big = sum(1 for m in comps if m.bit_count() >= 2)
+                if len(comps) >= 2 and big > 1:
+                    cut = ",".join(str(v) for v in range(n) if removed >> v & 1)
+                    expected.append(f"cutset={{{cut}}} big-components={big}")
+            rec = classify(g, _ToughnessMemo())._replace(twok2=True)
+            assert SUITES["C18"](rec) == ([], expected) and expected, g
+            checked += 1
+    assert checked > 1_000
+
+
 @pytest.mark.parametrize("source", [
     EnumerationSource(range(1, 6), mode="labeled"),
     Graph6Source(
@@ -325,13 +355,17 @@ def test_dedup_sweep_work(monkeypatch):
     # verify all --enumerate 7 --dedup always: toughness searches and the
     # toughness module's component counts, each against its budget, and one
     # canonical_key call per class of levels 1..7.  Searching every g - e
-    # and expansion took 7,045 searches and 112,327 counts, and rebuilding
-    # levels 1..n-1 for every n took 1,180 keys
+    # and expansion took 7,045 searches and 112,327 counts, rebuilding
+    # levels 1..n-1 for every n took 1,180 keys, and toughness without the
+    # V - I seed made 93,494 counts.  No scan with n <= 9 walks, as no pool
+    # of at most 9 vertices has more than _WALK_ABOVE subsets of a size, so
+    # no sweep builds the walk's neighbourhood tables
     from toughkit import cli, enumeration
 
     module = importlib.import_module("toughkit.toughness")
-    calls = {"search": 0, "count": 0, "key": 0}
-    budget = {"search": 4_749, "count": 93_494, "key": 996}
+    assert max(math.comb(9, size) for size in range(10)) <= module._WALK_ABOVE
+    calls = {"search": 0, "count": 0, "key": 0, "tables": 0}
+    budget = {"search": 4_749, "count": 89_065, "key": 996, "tables": 0}
 
     def counted(name, real):
         def call(*args):
@@ -341,7 +375,10 @@ def test_dedup_sweep_work(monkeypatch):
         return call
 
     monkeypatch.setattr(harness, "toughness", counted("search", harness.toughness))
-    monkeypatch.setattr(module, "component_count", counted("count", module.component_count))
+    for name in ("component_count", "table_component_count"):
+        monkeypatch.setattr(module, name, counted("count", getattr(module, name)))
+    monkeypatch.setattr(module, "neighbourhood_tables",
+                        counted("tables", module.neighbourhood_tables))
     monkeypatch.setattr(enumeration, "canonical_key", counted("key", enumeration.canonical_key))
     assert cli.run(["verify", "all", "--enumerate", "7", "--dedup", "always"], io.StringIO()) == 1
     assert calls["key"] == 996

@@ -26,7 +26,12 @@ from toughkit.enumeration import (
     enumerate_connected_graphs,
     enumerate_trees,
 )
-from toughkit.mintough import _edge_witness
+from toughkit.mintough import (
+    _build_witness,
+    _edge_witness,
+    _minimal_edge_witness,
+    _separating_drop_set,
+)
 from toughkit.recognition import _twok2_verdict
 
 F = Fraction
@@ -119,23 +124,13 @@ def _dense_gnp(n, p, seed):
     ],
     ids=["C16(1,2)", "C16(1,2,3)", "G(16,0.6)"],
 )
-def test_separating_scan_work(monkeypatch, g, value, budget):
+def test_separating_scan_work(count_components, g, value, budget):
     # the per-edge scans of the minimal-toughness decision count only sets
     # that hold the common neighbours of the edge's ends, and the walk stops
     # once its kept vertices join them; each budget is the count the scans
     # make, and the counter raises past it
     tau, _ = toughness(g)
-    module = importlib.import_module("toughkit.toughness")
-    calls = 0
-    count = module.component_count
-
-    def counted(nbr, pool):
-        nonlocal calls
-        calls += 1
-        assert calls <= budget, "per-edge scans ran past their component-count budget"
-        return count(nbr, pool)
-
-    monkeypatch.setattr(module, "component_count", counted)
+    count_components(budget, "per-edge scans")
     assert minimal_toughness_value(g, tau) == value
 
 
@@ -171,6 +166,36 @@ def test_edge_deletion_witness_examples():
     # deleting paw's edge 0-1 leaves a P4 with unchanged toughness: no witness
     with pytest.raises(RuntimeError):
         edge_deletion_witness(zoo.paw(), F(1, 2), (0, 1))
+
+
+def test_separating_scan_gives_the_edge_deletion_witness():
+    # every edge of every minimally tough connected labeled graph with
+    # n <= 6: at t = tau(g) the first set of the edge's separating scan is
+    # the set edge_deletion_witness returns, so the witness command builds
+    # the witness from the scan that decided the edge
+    checked = 0
+    for n in range(2, 7):
+        for g in _labeled_graphs(n, connected_only=True):
+            t = minimal_toughness_value(g)
+            if t is None:
+                continue
+            for e in g.edges():
+                combo = _separating_drop_set(g, t, e)
+                assert _build_witness(g, e, t, combo) == edge_deletion_witness(g, t, e), (g, e)
+                checked += 1
+    assert checked > 10_000
+
+
+def test_minimal_edge_witness_matches_the_two_searches():
+    # on every connected labeled graph with n <= 5 and every edge: the
+    # minimal-toughness value and that value's edge_deletion_witness, or
+    # None when the graph is not minimally tough
+    for n in range(2, 6):
+        for g in _labeled_graphs(n, connected_only=True):
+            t = minimal_toughness_value(g)
+            for e in g.edges():
+                expected = None if t is None else (t, edge_deletion_witness(g, t, e))
+                assert _minimal_edge_witness(g, e) == expected, (g, e)
 
 
 def test_edge_deletion_witness_matches_definition_search():
@@ -314,7 +339,7 @@ def test_every_t_taking_entry_point_rejects_t_at_most_zero(t):
             call()
 
 
-def test_per_edge_scans_work(monkeypatch):
+def test_per_edge_scans_work(monkeypatch, count_components):
     # deciding that C_16(1,2) is minimally 2-tough scans each G - e with
     # 4,959 component counts and no independence number; an exact alpha(G)
     # built at each scan's first walking size cost 2,085 calls here.  Past
@@ -322,21 +347,12 @@ def test_per_edge_scans_work(monkeypatch):
     module = importlib.import_module("toughkit.toughness")
     g = zoo.circulant(16, (1, 2))
     tau, _ = toughness(g)
-    calls = {"component_count": 0, "_independence_number": 0}
-    budgets = {"component_count": 4_959, "_independence_number": 0}
+    count_components(4_959, "component counts")
 
-    def counter(name):
-        plain = getattr(module, name)
+    def independence_number(nbr, pool):
+        raise AssertionError("_independence_number ran past its budget")
 
-        def counted(nbr, pool):
-            calls[name] += 1
-            assert calls[name] <= budgets[name], f"{name} ran past its budget"
-            return plain(nbr, pool)
-
-        return counted
-
-    for name in calls:
-        monkeypatch.setattr(module, name, counter(name))
+    monkeypatch.setattr(module, "_independence_number", independence_number)
     assert minimal_toughness_value(g, tau) == 2
 
 

@@ -36,7 +36,7 @@ from toughkit import (
     twok2_neighborhood_witness,
     vertex_connectivity,
 )
-from toughkit.enumeration import _labeled_graphs
+from toughkit.enumeration import _labeled_graphs, enumerate_connected_graphs
 from toughkit.graphs import component_count
 from toughkit.toughness import _alpha_sums, _tight_pool
 from toughkit.toughness import _cutsets as _cutsets_under_test
@@ -326,11 +326,10 @@ def test_walk_on_restricted_pools_yields_the_combinations_scan(monkeypatch, call
     u, v = g.edges()[0]
     minus = g.delete_edge(u, v)
     hood = sorted((set(g.neighbors(u)) | set(g.neighbors(v))) - {u, v})
-    count = component_count
     work = [0, 0]  # component counts of the scan under test and the reference
     budget = 0
 
-    def counter(i):
+    def counter(i, count):
         def counted(nbr, pool):
             work[i] += 1
             assert i or work[0] <= budget, "the walk ran past its component-count budget"
@@ -338,8 +337,10 @@ def test_walk_on_restricted_pools_yields_the_combinations_scan(monkeypatch, call
 
         return counted
 
-    monkeypatch.setattr(importlib.import_module("toughkit.toughness"), "component_count", counter(0))
-    monkeypatch.setitem(globals(), "component_count", counter(1))
+    module = importlib.import_module("toughkit.toughness")
+    for name in ("component_count", "table_component_count"):
+        monkeypatch.setattr(module, name, counter(0, getattr(module, name)))
+    monkeypatch.setitem(globals(), "component_count", counter(1, component_count))
     pools = ([x for x in range(g.n) if x not in (u, v)], hood)
     for pool, budget in zip(pools, _RESTRICTED_POOL_BUDGETS[caller, t]):
         assert max(comb(len(pool), size) for size in range(len(pool))) > 200
@@ -568,3 +569,33 @@ def test_returned_witnesses_revalidate(g, t, data):
         except RuntimeError:
             continue  # no set at this t, or the set fails the conditions
         assert w.holds(g, t)
+
+
+def _unseeded_toughness(g):
+    """(tau, S*, c(G - S*)) from the search that starts at the ratio n/1,
+    which every cutset beats, and keeps each strict improvement."""
+    one = Fraction(1)
+    combo, omega = _answer(
+        _driven(_cutsets_under_test, g._nbr, range(g.n), "toughness", one), "toughness", one
+    )
+    return Fraction(len(combo), omega), frozenset(combo), omega
+
+
+def test_seeded_toughness_matches_the_unseeded_search():
+    # every connected noncomplete labeled graph with n <= 6 and class with
+    # n = 7: the search seeded by V - I gives the unseeded value and witness
+    graphs = [g for n in range(3, 7) for g in _labeled_graphs(n, connected_only=True)]
+    graphs += list(enumerate_connected_graphs(7, dedup=True))
+    for g in graphs:
+        if not g.is_complete():
+            tau, w = toughness(g)
+            assert (tau.value, w.vertices, w.component_count) == _unseeded_toughness(g), g
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(graphs(13), gnp(2, 13)))
+def test_seeded_toughness_matches_the_oracle_and_the_unseeded_search(g):
+    tau, w = toughness(g)
+    assert tau == naive_toughness_oracle(g)
+    if tau.is_finite:
+        assert (tau.value, w.vertices, w.component_count) == _unseeded_toughness(g)

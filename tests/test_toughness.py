@@ -308,22 +308,11 @@ def test_witness_for_rejects_vertices_outside_graph():
         (zoo.circulant(32, (1, 2)), F(2), {0, 1, 3, 4}),
     ],
 )
-def test_kappa_alpha_cutoff_work_at_vertex_cap(monkeypatch, g, tau, witness):
+def test_kappa_alpha_cutoff_work_at_vertex_cap(count_components, g, tau, witness):
     # the search scans the sizes up to kappa and stops: 1 + sum C(n, s)
     # component counts for s <= kappa (33, 529 and 41,449 here); past that
     # budget the counter raises, so a lost cutoff fails instead of hanging
-    module = importlib.import_module("toughkit.toughness")
-    budget = 1 + sum(math.comb(g.n, s) for s in range(1, len(witness) + 1))
-    calls = 0
-    count = module.component_count
-
-    def counted(nbr, pool):
-        nonlocal calls
-        calls += 1
-        assert calls <= budget, "toughness search ran past its component-count bound"
-        return count(nbr, pool)
-
-    monkeypatch.setattr(module, "component_count", counted)
+    count_components(1 + sum(math.comb(g.n, s) for s in range(1, len(witness) + 1)))
     value, w = toughness(g)
     assert value == tau and w.vertices == frozenset(witness)
 
@@ -339,92 +328,64 @@ def _dense_gnp(n, p, seed):
         # the full per-size scan made 155,382, 106,762, 155,382 and 64,839
         # counts; the degree bounds alone left 41,304, 2,634, 5,796 and
         # 64,607; a walk that held each size's need fixed made 4,432, 2,598,
-        # 5,795 and 632
-        (zoo.circulant(18, (1, 3)), None, F(1), range(0, 18, 2), 2_167),
+        # 5,795 and 632; toughness without the V - I seed made 2,167 and 539
+        (zoo.circulant(18, (1, 3)), None, F(1), range(0, 18, 2), 645),
         (zoo.path(18), F(2), False, range(1, 17, 2), 142),
         (zoo.cycle(18), F(3, 2), False, range(0, 18, 2), 178),
-        (_dense_gnp(16, 0.6, 1), None, F(3), {1, 2, 4, 5, 6, 7, 9, 10, 12, 13, 14, 15}, 539),
+        (_dense_gnp(16, 0.6, 1), None, F(3), {1, 2, 4, 5, 6, 7, 9, 10, 12, 13, 14, 15}, 515),
     ],
     ids=["C18(1,3)", "P18", "C18", "G(16,0.6)"],
 )
-def test_partial_set_pruning_work(monkeypatch, g, t, value, witness, budget):
+def test_partial_set_pruning_work(monkeypatch, count_components, g, t, value, witness,
+                                  budget):
     # the walk drops partial sets no completion of which leaves enough
     # components; each budget is the count it makes, and the counter raises
     # past it
-    module = importlib.import_module("toughkit.toughness")
-    calls = 0
-    count = module.component_count
-
-    def counted(nbr, pool):
-        nonlocal calls
-        calls += 1
-        assert calls <= budget, "cutset scan ran past its component-count budget"
-        return count(nbr, pool)
-
-    monkeypatch.setattr(module, "component_count", counted)
+    count_components(budget)
     result, w = toughness(g) if t is None else is_t_tough(g, t)
     assert result == value and w.vertices == frozenset(witness)
     monkeypatch.undo()
     assert w.revalidate(g)
 
 
-def test_live_need_work_on_circulants(monkeypatch):
+def test_live_need_work_on_circulants(count_components):
     # C_n(1,2) for n = 14..18 and C_n(1,3) for n = 14, 16, 18: the summed
     # component counts of toughness, and of is_t_tough at 1, 3/2 and 2.  A
     # scan that read the need once a size, and kept bound = 2 through the
     # size kappa = 4 of C_n(1,2) after its first cutset gave tau = 2, made
-    # 14,190 and 15,216; the counter raises past each budget
+    # 14,190 and 15,216, and toughness without the V - I seed 7,928; the
+    # counter raises past each budget
     graphs = [zoo.circulant(n, (1, 2)) for n in range(14, 19)]
     graphs += [zoo.circulant(n, (1, 3)) for n in (14, 16, 18)]
-    module = importlib.import_module("toughkit.toughness")
-    count = module.component_count
-    calls, budget = 0, 7_928
-
-    def counted(nbr, pool):
-        nonlocal calls
-        calls += 1
-        assert calls <= budget, "cutset scan ran past its component-count budget"
-        return count(nbr, pool)
-
-    monkeypatch.setattr(module, "component_count", counted)
+    budget = count_components(5_609)
     for g in graphs:
         tau, w = toughness(g)
         if g.has_edge(0, 2):  # C_n(1,2)
             assert (tau, w.vertices) == (2, {0, 1, 3, 4})
         else:
             assert (tau, w.vertices) == (1, frozenset(range(0, g.n, 2)))
-    calls, budget = 0, 10_316
+    budget.calls, budget.limit = 0, 10_316
     for g in graphs:
         for t in (F(1), F(3, 2), F(2)):
             is_t_tough(g, t)
 
 
-def test_exhaustive_scan_work(monkeypatch):
+def test_exhaustive_scan_work(count_components):
     # every connected labeled graph with n <= 6 and the 853 classes at n = 7
     # (28,329 graphs): the summed component counts of toughness, and of
     # is_t_tough at 1/2, 1, 3/2 and 2.  Each budget is the count the scan
     # made with a second k rule for plain sets, so the one k rule loses no
-    # pruning.  A scan that never raised k counts more, and the counter
-    # raises past the budget
+    # pruning; toughness without the V - I seed made 194,121.  A scan that
+    # never raised k counts more, and the counter raises past the budget
     graphs = [g for n in range(1, 7) for g in _labeled_graphs(n, connected_only=True)]
     graphs += list(enumerate_connected_graphs(7, dedup=True))
     assert len(graphs) == 28_329
-    module = importlib.import_module("toughkit.toughness")
-    count = module.component_count
-    calls, budget = 0, 0
-
-    def counted(nbr, pool):
-        nonlocal calls
-        calls += 1
-        assert calls <= budget, "cutset scan ran past its component-count budget"
-        return count(nbr, pool)
-
-    monkeypatch.setattr(module, "component_count", counted)
-    for search, budget in (
-        (lambda g: [toughness(g)], 194_121),
+    budget = count_components(0)
+    for search, budget.limit in (
+        (lambda g: [toughness(g)], 193_353),
         (lambda g: [is_t_tough(g, t) for t in (F(1, 2), F(1), F(3, 2), F(2))], 801_897),
     ):
-        calls = 0
+        budget.calls = 0
         for g in graphs:
             search(g)
 
