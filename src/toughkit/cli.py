@@ -32,7 +32,7 @@ from .harness import (
     run_suites,
     scan_minimally_tough,
 )
-from .mintough import _minimal_edge_witness, minimal_toughness_value
+from .mintough import edge_deletion_witness, minimal_toughness_value
 from .recognition import is_2k2_free, is_chordal, is_claw_free, is_split
 from .toughness import is_t_tough, toughness
 
@@ -134,12 +134,12 @@ def _cmd_witness(args, out) -> int:
     u, v = _parse_edge(args.edge)
     if not g.has_edge(u, v):
         raise SystemExit2(f"{args.edge} is not an edge of the input graph")
-    found = _minimal_edge_witness(g, (u, v))
-    if found is None:
+    t = minimal_toughness_value(g)
+    if t is None:
         print("graph is not minimally tough; no witness defined", file=out)
         return 1
-    print(f"minimally {found[0]}-tough", file=out)
-    print(found[1], file=out)
+    print(f"minimally {t}-tough", file=out)
+    print(edge_deletion_witness(g, t, (u, v)), file=out)
     return 0
 
 

@@ -15,11 +15,11 @@ memo alone tests connectivity: it answers zero for a disconnected graph
 unsearched and unstored, and searches each connected graph once per sweep,
 keeping its minimizing set S*.  ``classify`` asks if deleting an edge e
 drops tau(g) by the cheapest rung that answers: the memo's stored tau(g -
-e); a proof from S*(g); if g has an induced 2K2, the unstored scan
-``mintough._drops``; else the memo's search, as T20 prints tau(g - e).  T20
-takes tau(X) = tau(g - e) for the split expansion X when S*(g - e) proves
-it, so it searches X mostly for its violation rows (proofs: README,
-"Exactness and determinism").  The memo is dropped when the stream ends.
+e); a proof from S*(g); if g has an induced 2K2, the unstored per-edge
+scan ``mintough._drop_set``; else the memo's search, as T20 prints tau(g -
+e).  T20 takes tau(X) = tau(g - e) for the split expansion X when S*(g -
+e) proves it, so it searches X mostly for its violation rows (proofs:
+README, "Exactness and determinism").  The memo is dropped when the stream ends.
 
 Suites (all checked with exact rational arithmetic):
 
@@ -62,7 +62,7 @@ from .graphs import (
     Graph, component_count, component_masks, set_to_mask, set_to_str, simplicial_vertices,
 )
 from .mintough import (
-    _drops,
+    _drop_set,
     clawfree_half_witness,
     edge_deletion_witness,
     twok2_neighborhood_witness,
@@ -213,7 +213,7 @@ def classify(g: Graph, tau_of: _ToughnessMemo) -> _Record:
                 component_count(h._nbr, rest) > cut.component_count):  # a bridge of G - S*
             drop = True
         elif known is None and not twok2:
-            drop = _drops(g, t, (u, v))
+            drop = _drop_set(g, t, (u, v)) is not None
         else:
             known = known or tau_of.search(h)
             drop = known[0] < tau

@@ -4,14 +4,16 @@ A graph is minimally t-tough when its toughness is exactly t and deleting
 any single edge drops the toughness below t.  For every edge e of such a
 graph there is a witness: either e is a bridge, or some set S satisfies
 c(G-S) <= |S|/t and c((G-e)-S) > |S|/t, making e a bridge of G-S.  One
-search, ``_drop_set``, finds it, drawing S from every vertex
-(``edge_deletion_witness``) or from the endpoints' neighborhood
-(``twok2_neighborhood_witness``); the claw-free witness is its size-one
-case at t = 1/2.  It returns the smallest set, ties broken by
-lexicographically least vertex tuple.  The per-edge decision ``_drops``
-asks it at t = tau(G), where only sets that separate u from v can answer,
-and scans only those.  Every witness, found by a search or
-given by a formula, is built by
+search, ``_drop_set``, finds it and decides the edge: it scans only the
+sets that miss u and v and separate them in G-e, drawn from every other
+vertex (``edge_deletion_witness``, ``minimal_toughness_value``) or from
+the endpoints' neighborhood (``twok2_neighborhood_witness``); the
+claw-free witness is its size-one case at t = 1/2.  It returns the
+smallest such set with c((G-e)-S) > |S|/t, ties broken by
+lexicographically least vertex tuple.  At t <= tau(G) every cutset S of
+G-e with c((G-e)-S) > |S|/t separates u and v, as any other is a cutset
+of G with c((G-e)-S) = c(G-S) <= |S|/t, so no set is lost.  Every
+witness, found by a search or given by a formula, is built by
 ``_edge_witness``, the one place that states the rule and counts the
 components; ``EdgeWitness.holds`` checks a witness by rebuilding it.
 """
@@ -91,17 +93,21 @@ def _edge_witness(
 
 
 def _drop_set(
-    g: Graph, t: Fraction, e: tuple[int, int], pool: Sequence[int],
-    apart: tuple[int, int] | None = None,
+    g: Graph, t: Fraction, e: tuple[int, int], pool: Sequence[int] | None = None
 ) -> tuple[int, ...] | None:
-    """The set showing that deleting the edge e of the connected g drops the
-    toughness below t: () when e is a bridge, else the smallest (size, then
-    lex) cutset S of G-e drawn from ``pool`` with c(S) > |S|/t, or None."""
-    minus = g.delete_edge(*e)._nbr
+    """The set showing that deleting the edge e = uv of the connected g
+    drops the toughness below t: () when e is a bridge, else the smallest
+    (size, then lex) S drawn from ``pool`` (default V - {u, v}; it must
+    miss u and v) that separates u and v in G-e with c((G-e)-S) > |S|/t, or
+    None.  Only such an S makes e a bridge of G-S, as a witness must."""
+    u, v = e
+    minus = g.delete_edge(u, v)._nbr
     if component_count(minus, (1 << g.n) - 1) > 1:
         return ()
+    if pool is None:
+        pool = [x for x in range(g.n) if x != u and x != v]
     p, q = t.numerator, t.denominator
-    cutsets = _cutsets(minus, pool, lambda size: q * size // p + 1, apart)
+    cutsets = _cutsets(minus, pool, lambda size: q * size // p + 1, e)
     return next((combo for combo, _ in cutsets), None)
 
 
@@ -115,58 +121,17 @@ def is_minimally_t_tough(g: Graph, t: Fraction | int) -> bool:
 def minimal_toughness_value(g: Graph, tau: Toughness | None = None) -> Fraction | None:
     """The t for which g is minimally t-tough, or None; ``tau`` is tau(g) if known.
 
-    ``_drops`` decides each edge.  Queries do not search tau(g - e) per
-    edge, which took 10.2x as long on the benchmark's 14-18 vertex graphs;
-    a sweep asks ``_drops`` only after its cheaper rungs (``harness``).
+    ``_drop_set`` decides each edge at t = tau(g).  Queries do not search
+    tau(g - e) per edge, which took 10.2x as long on the benchmark's 14-18
+    vertex graphs; a sweep asks ``_drop_set`` only after its cheaper rungs
+    (``harness``).
     """
     if tau is None:
         tau, _ = toughness(g)
     if not tau.is_finite:
         return None
     t = tau.value
-    return t if all(_drops(g, t, e) for e in g.edges()) else None
-
-
-def _drops(g: Graph, t: Fraction, e: tuple[int, int]) -> bool:
-    """Does deleting the edge e of the connected g drop the toughness below
-    t = tau(g)?"""
-    return _separating_drop_set(g, t, e) is not None
-
-
-def _separating_drop_set(
-    g: Graph, t: Fraction, e: tuple[int, int]
-) -> tuple[int, ...] | None:
-    """``_drop_set`` for the edge e = uv of the connected g at t = tau(g).
-    Only a set S making e a bridge of G-S can show the drop, as any other
-    has c((G-e)-S) = c(G-S) <= |S|/t, so only the sets that separate u and
-    v are scanned (``apart``), to the first.  At t > tau(g) this fails: a
-    cutset with c(G-S) > |S|/t meets the need."""
-    u, v = e
-    pool = tuple(x for x in range(g.n) if x != u and x != v)
-    return _drop_set(g, t, e, pool, apart=e)
-
-
-def _minimal_edge_witness(
-    g: Graph, e: tuple[int, int]
-) -> tuple[Fraction, EdgeWitness] | None:
-    """(t, the ``edge_deletion_witness`` of the edge e at t) when g is
-    minimally t-tough, else None; each edge is scanned once.
-
-    At t = tau(g) a set S qualifies for e in both scans exactly when it
-    misses u and v and separates them in G-e, and the smallest qualifying
-    sets are tight, so the first set of e's separating scan is the witness.
-    e is decided first and its witness built from that set; then the other
-    edges are decided.
-    """
-    e = _checked_edge(g, e)
-    tau, _ = toughness(g)
-    if not tau.is_finite:
-        return None
-    t = tau.value
-    combo = _separating_drop_set(g, t, e)
-    if combo is None or not all(_drops(g, t, f) for f in g.edges() if f != e):
-        return None
-    return t, _build_witness(g, e, t, combo)
+    return t if all(_drop_set(g, t, e) is not None for e in g.edges()) else None
 
 
 def _build_witness(
@@ -193,17 +158,17 @@ def _witness_search(
     g: Graph,
     t: Fraction | int,
     e: tuple[int, int],
-    pool: Callable[[int, int], Sequence[int]],
     missing: str,
+    hood: Callable[[int, int], Sequence[int]] | None = None,
 ) -> EdgeWitness:
-    """The shared per-edge search: the bridge witness, else the smallest
-    violating cutset of G-e drawn from ``pool(u, v)``.  RuntimeError with
-    ``missing`` (formatted with e and t) when the pool holds none."""
+    """The shared per-edge search: the witness ``_drop_set`` finds, drawing
+    from ``hood(u, v)`` if given.  RuntimeError with ``missing`` (formatted
+    with e and t) when it finds none."""
     t = _checked_t(t)
     e = _checked_edge(g, e)
     if not g.is_connected():
         raise ValueError("graph is disconnected")
-    combo = _drop_set(g, t, e, pool(*e))
+    combo = _drop_set(g, t, e, None if hood is None else hood(*e))
     if combo is None:
         raise RuntimeError(missing.format(e=e, t=t))
     return _build_witness(g, e, t, combo)
@@ -212,16 +177,14 @@ def _witness_search(
 def edge_deletion_witness(g: Graph, t: Fraction | int, e: tuple[int, int]) -> EdgeWitness:
     """Witness set for one edge of a minimally t-tough graph.
 
-    Bridges short-circuit to the empty set.  Otherwise the smallest cutset
-    of G-e whose component count beats |S|/t is returned, built by
-    ``_edge_witness``, which checks all of its properties exactly.  A
-    disconnected graph, which is not minimally t-tough for any t, raises
-    ValueError.
+    Bridges short-circuit to the empty set.  Otherwise the smallest set of
+    V - {u, v} that separates u and v in G-e and leaves more than |S|/t
+    components there is returned, built by ``_edge_witness``, which checks
+    all of its properties exactly.  A disconnected graph, which is not
+    minimally t-tough for any t, raises ValueError.
     """
     return _witness_search(
-        g, t, e, lambda u, v: range(g.n),
-        "no witness for edge {e}: the graph is not minimally {t}-tough",
-    )
+        g, t, e, "no witness for edge {e}: the graph is not minimally {t}-tough")
 
 
 def split_clique_edge_witness(
@@ -297,7 +260,6 @@ def twok2_neighborhood_witness(
     disconnected graph.
     """
     return _witness_search(
-        g, t, e,
+        g, t, e, "no witness for edge {e} inside the endpoint neighborhood",
         lambda u, v: mask_to_tuple((g._nbr[u] | g._nbr[v]) & ~(1 << u | 1 << v)),
-        "no witness for edge {e} inside the endpoint neighborhood",
     )

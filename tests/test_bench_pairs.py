@@ -57,6 +57,18 @@ def test_parse_result_reads_the_passes_raw_figures_and_env():
     assert r["metrics"]["queries_per_s"]["value"] == 557
 
 
+def test_src_lines_counts_the_python_files_under_src(tmp_path):
+    # a made-up exported tree: only the .py files below src/ count, however
+    # deep, and a last line without a newline counts too
+    (tmp_path / "src" / "pkg" / "sub").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "src" / "pkg" / "sub" / "b.py").write_text("\n\nz = 3")
+    (tmp_path / "src" / "pkg" / "notes.txt").write_text("not\ncode\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text("t = 0\n")
+    assert bench_pairs.src_lines(tmp_path) == 5
+
+
 def test_summarize_spreads_the_passes():
     s = bench_pairs.summarize([_run(p, peak_rss_mb=30) for p in (52, 75, 59, 66, 40)])
     assert s["passes"] == {"value": 59, "q1": 46.0, "q3": 70.5}

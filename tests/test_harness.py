@@ -23,7 +23,7 @@ from toughkit.enumeration import enumerate_connected_graphs
 from toughkit.families import delete_and_complete
 from toughkit.graph6 import graph_from_key
 from toughkit.graphs import component_count, set_to_mask
-from toughkit.mintough import _drops, minimal_toughness_value
+from toughkit.mintough import _drop_set, minimal_toughness_value
 from toughkit.toughness import toughness
 
 F = Fraction
@@ -235,6 +235,21 @@ def test_sweep_computes_no_bridge_set(monkeypatch):
     assert reports[0].scanned == 772 and calls == []
 
 
+def test_witness_suites_build_no_tight_pool(monkeypatch):
+    # C1, L19 and L14 ask the per-edge search, which scans only the sets
+    # that separate the edge's ends and so never narrows its pool to the
+    # tight one; the searches for tau, in classify, still do
+    module = importlib.import_module("toughkit.toughness")
+    calls = []
+    real = module._tight_pool
+    monkeypatch.setattr(module, "_tight_pool", lambda *a: calls.append(a) or real(*a))
+    records = list(harness._classified(EnumerationSource(range(1, 6), mode="labeled"), []))
+    assert len(records) == 772 and calls
+    calls.clear()
+    rows = sum(bool(SUITES[name](rec)[0]) for rec in records for name in ("C1", "L19", "L14"))
+    assert rows == 383 and calls == []
+
+
 def test_sweep_makes_no_max_flow_calls(monkeypatch):
     import toughkit
     from toughkit import families, graphs, mintough, recognition, toughness
@@ -356,8 +371,9 @@ def test_dedup_sweep_work(monkeypatch):
     # toughness module's component counts, each against its budget, and one
     # canonical_key call per class of levels 1..7.  Searching every g - e
     # and expansion took 7,045 searches and 112,327 counts, rebuilding
-    # levels 1..n-1 for every n took 1,180 keys, and toughness without the
-    # V - I seed made 93,494 counts.  No scan with n <= 9 walks, as no pool
+    # levels 1..n-1 for every n took 1,180 keys, toughness without the
+    # V - I seed made 93,494 counts, and witness searches that drew tight
+    # cutsets from every vertex 89,065.  No scan with n <= 9 walks, as no pool
     # of at most 9 vertices has more than _WALK_ABOVE subsets of a size, so
     # no sweep builds the walk's neighbourhood tables
     from toughkit import cli, enumeration
@@ -365,7 +381,7 @@ def test_dedup_sweep_work(monkeypatch):
     module = importlib.import_module("toughkit.toughness")
     assert max(math.comb(9, size) for size in range(10)) <= module._WALK_ABOVE
     calls = {"search": 0, "count": 0, "key": 0, "tables": 0}
-    budget = {"search": 4_749, "count": 89_065, "key": 996, "tables": 0}
+    budget = {"search": 4_749, "count": 85_194, "key": 996, "tables": 0}
 
     def counted(name, real):
         def call(*args):
@@ -420,7 +436,7 @@ def test_each_rung_answers_as_the_searched_drop(ladder):
                     component_count(h._nbr, rest) > cut.component_count):
                 assert drops[-1], (g, (u, v))
                 proved += 1
-            assert _drops(g, tau.value, (u, v)) == drops[-1], (g, (u, v))
+            assert (_drop_set(g, tau.value, (u, v)) is not None) == drops[-1], (g, (u, v))
             scanned += 1
         assert classify(g, _ToughnessMemo()).t == (tau.value if all(drops) else None), g
     # the proof settles about one edge question in six

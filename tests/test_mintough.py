@@ -26,13 +26,9 @@ from toughkit.enumeration import (
     enumerate_connected_graphs,
     enumerate_trees,
 )
-from toughkit.mintough import (
-    _build_witness,
-    _edge_witness,
-    _minimal_edge_witness,
-    _separating_drop_set,
-)
+from toughkit.mintough import _build_witness, _edge_witness
 from toughkit.recognition import _twok2_verdict
+from toughkit.toughness import _cutsets
 
 F = Fraction
 
@@ -170,9 +166,9 @@ def test_edge_deletion_witness_examples():
 
 def test_separating_scan_gives_the_edge_deletion_witness():
     # every edge of every minimally tough connected labeled graph with
-    # n <= 6: at t = tau(g) the first set of the edge's separating scan is
-    # the set edge_deletion_witness returns, so the witness command builds
-    # the witness from the scan that decided the edge
+    # n <= 6: at t = tau(g) the separating scan behind edge_deletion_witness
+    # gives the witness of the first violating tight cutset of G - e drawn
+    # from every vertex, whether it separates the edge's ends or not
     checked = 0
     for n in range(2, 7):
         for g in _labeled_graphs(n, connected_only=True):
@@ -180,22 +176,16 @@ def test_separating_scan_gives_the_edge_deletion_witness():
             if t is None:
                 continue
             for e in g.edges():
-                combo = _separating_drop_set(g, t, e)
-                assert _build_witness(g, e, t, combo) == edge_deletion_witness(g, t, e), (g, e)
+                w = edge_deletion_witness(g, t, e)
                 checked += 1
+                if w.bridge_case:
+                    assert e in bridges(g), (g, e)
+                    continue
+                p, q = t.numerator, t.denominator
+                combo, _ = next(_cutsets(
+                    g.delete_edge(*e)._nbr, range(n), lambda size: q * size // p + 1))
+                assert w == _build_witness(g, e, t, combo), (g, e)
     assert checked > 10_000
-
-
-def test_minimal_edge_witness_matches_the_two_searches():
-    # on every connected labeled graph with n <= 5 and every edge: the
-    # minimal-toughness value and that value's edge_deletion_witness, or
-    # None when the graph is not minimally tough
-    for n in range(2, 6):
-        for g in _labeled_graphs(n, connected_only=True):
-            t = minimal_toughness_value(g)
-            for e in g.edges():
-                expected = None if t is None else (t, edge_deletion_witness(g, t, e))
-                assert _minimal_edge_witness(g, e) == expected, (g, e)
 
 
 def test_edge_deletion_witness_matches_definition_search():

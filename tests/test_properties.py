@@ -4,7 +4,8 @@ The graphs are sparse or structured (trees with a few chords, circulants
 C_n(a, b)) under random vertex relabelings: the inputs on which the
 kappa/alpha cutoffs of the searches fire.  The brute-force references scan
 every vertex subset with their own component count; for the per-edge
-witness searches, every subset of the search's pool in G - e.  The
+witness searches, every subset of the search's pool that separates the
+edge's ends in G - e.  The
 cutset scan's depth-first walk is compared with the plain per-size scan,
 kept here as ``_combinations_cutsets``, on graphs of 11-16 vertices, G(n,p)
 with p up to 0.7 among them, where the walk runs, and on fixed pools that
@@ -147,16 +148,36 @@ THRESHOLD_VALUES = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1),
 THRESHOLDS = st.sampled_from(THRESHOLD_VALUES)
 
 
-def _expected_edge_witness(g, t, e, pool):
-    """What the search for edge e must give: () for a bridge, else the
-    first (size, lex) S in ``pool`` with t * c((G-e)-S) > |S|, or the
-    RuntimeError message it must raise when there is no such S or S
-    fails the witness conditions."""
-    minus = g.delete_edge(*e)
+def _separates(g, removed, u, v):
+    """Whether u and v, both outside ``removed``, lie in different
+    components of g - removed, by a depth-first search of its own."""
+    left = set(range(g.n)) - set(removed)
+    if u not in left or v not in left:
+        return False
+    seen, stack = {u}, [u]
+    while stack:
+        for w in g.neighbors(stack.pop()):
+            if w in left and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return v not in seen
+
+
+def _expected_edge_witness(g, t, e, pool, separating=True):
+    """What the search for edge e = uv must give: () for a bridge, else the
+    first (size, lex) S in ``pool`` (default: every vertex) that separates
+    u and v in G-e with t * c((G-e)-S) > |S|, or the RuntimeError message
+    it must raise when there is no such S or S fails the witness
+    conditions.  ``separating=False`` gives the reference of the search
+    that took the first such S whether it separated u and v or not; at
+    t <= tau(G) the two agree."""
+    u, v = e
+    minus = g.delete_edge(u, v)
     if zoo.omega(minus, ()) > zoo.omega(g, ()):
         return ()
     p, q = t.numerator, t.denominator
-    first = next((vs for vs, c in _cutsets(minus, pool) if p * c > q * len(vs)), None)
+    first = next((vs for vs, c in _cutsets(minus, pool) if p * c > q * len(vs)
+                  and (not separating or _separates(minus, vs, u, v))), None)
     if first is None:
         return "no witness"
     before, after = zoo.omega(g, first), zoo.omega(minus, first)
@@ -194,6 +215,44 @@ def test_twok2_witness_is_first_violating_set_in_neighborhood(g, t, data):
     u, v = e = data.draw(st.sampled_from(g.edges()))
     hood = sorted((set(g.neighbors(u)) | set(g.neighbors(v))) - {u, v})
     _check_edge_search(twok2_neighborhood_witness, g, t, e, hood)
+
+
+def _outcome(search, g, t, e):
+    """The search's witness set as a sorted tuple, () for a bridge, or the
+    part of its RuntimeError message that ``_expected_edge_witness`` gives."""
+    try:
+        w = search(g, t, e)
+    except RuntimeError as exc:
+        return "no witness" if "no witness" in str(exc) else "re-validation failed"
+    assert w.holds(g, t) and w.bridge_case == (not w.vertices)
+    return tuple(sorted(w.vertices))
+
+
+def test_per_edge_searches_follow_the_separating_contract():
+    # every connected labeled graph with n <= 5, every edge and every t of
+    # THRESHOLD_VALUES and tau: both searches give the first set of their
+    # pool that separates the edge's ends and violates, and at t <= tau
+    # that of the search that took the first violating set of the pool.
+    # Above tau the contracts part only where that search found no witness
+    checked = parted = 0
+    for n in range(2, 6):
+        for g in _labeled_graphs(n, connected_only=True):
+            tau, _ = toughness(g)
+            ts = sorted(set(THRESHOLD_VALUES) | ({tau.value} if tau.is_finite else set()))
+            for u, v in g.edges():
+                hood = sorted((set(g.neighbors(u)) | set(g.neighbors(v))) - {u, v})
+                for t, (search, pool) in product(
+                        ts, ((edge_deletion_witness, None), (twok2_neighborhood_witness, hood))):
+                    got = _outcome(search, g, t, (u, v))
+                    assert got == _expected_edge_witness(g, t, (u, v), pool), (g, t, (u, v))
+                    whole = _expected_edge_witness(g, t, (u, v), pool, separating=False)
+                    if tau >= t:
+                        assert got == whole, (g, t, (u, v))
+                    elif got != whole:
+                        assert isinstance(whole, str), (g, t, (u, v))
+                        parted += 1
+                    checked += 1
+    assert (checked, parted) == (68_744, 2_737)
 
 
 def test_neighborhood_search_keeps_its_component_bound():

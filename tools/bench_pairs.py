@@ -13,8 +13,9 @@ pair runs ``perfbench/run.py --trace 0`` once in each tree for the
 ``run_seconds`` of ``BENCHMARK.json``, with ``PYTHONDONTWRITEBYTECODE=1``;
 the parent goes first on odd seeds and the change first on even seeds.
 Seeds count up from ``--first-seed`` across the workloads in the order
-given.  The script writes ``BENCH_<pr>.json``: per side and workload the
-median with quartiles q1 and q3 of every end-to-end metric, of the
+given.  The script writes ``BENCH_<pr>.json``: per side ``src_lines``,
+the lines of the Python files under ``src/`` in its tree, and per
+workload the median with quartiles q1 and q3 of every end-to-end metric, of the
 unscaled wall-clock figures and of the passes a run made, the summed
 attempted and failed operations, and per workload the number of pairs in
 which the change did better on the workload's main metric (queries_per_s
@@ -64,6 +65,11 @@ def export(rev: str, dest: Path) -> None:
     with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev))) as tar:
         # the "data" filter exists from Python 3.11.4 and is the default from 3.14
         tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+
+
+def src_lines(tree: Path) -> int:
+    """The lines of the Python files under tree/src."""
+    return sum(len(path.read_bytes().splitlines()) for path in (tree / "src").rglob("*.py"))
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
@@ -170,12 +176,13 @@ def main(argv=None) -> int:
     revs = {side: git("rev-parse", rev).decode().strip()
             for side, rev in (("parent", args.parent), ("change", args.change))}
 
-    seeds, runs = {}, {"parent": {}, "change": {}}
+    seeds, runs, lines = {}, {"parent": {}, "change": {}}, {}
     seed = args.first_seed
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: Path(tmp) / side for side in revs}
         for side, rev in revs.items():
             export(rev, trees[side])
+            lines[side] = src_lines(trees[side])
         for workload, count in plan:
             seeds[workload] = list(range(seed, seed + count))
             seed += count
@@ -220,6 +227,7 @@ def main(argv=None) -> int:
         bench[side] = {
             "git_rev": rev,
             "src_sha256": runs[side][plan[0][0]][0]["env"]["src_sha256"],
+            "src_lines": lines[side],
             "workloads": summaries[side],
         }
     out = ROOT / f"BENCH_{args.pr}.json"
