@@ -15,11 +15,11 @@ memo alone tests connectivity: it answers zero for a disconnected graph
 unsearched and unstored, and searches each connected graph once per sweep,
 keeping its minimizing set S*.  ``classify`` asks if deleting an edge e
 drops tau(g) by the cheapest rung that answers: the memo's stored tau(g -
-e); a proof from S*(g); if g has an induced 2K2, the unstored per-edge
-scan ``mintough._drop_set``; else the memo's search, as T20 prints tau(g -
+e); a proof from S*(g); if g has an induced 2K2, the unstored scan
+``mintough._drop_set``; else the memo's search, as T20 prints tau(g -
 e).  T20 takes tau(X) = tau(g - e) for the split expansion X when S*(g -
 e) proves it, so it searches X mostly for its violation rows (proofs:
-README, "Exactness and determinism").  The memo is dropped when the stream ends.
+README, "Exactness and determinism").  The stream's end drops the memo.
 
 Suites (all checked with exact rational arithmetic):
 

@@ -234,16 +234,16 @@ def _cutsets(
     two components of G - S.  The whole-graph answers are tight, as a
     vertex that sees at most one can leave S and lose none: the smallest
     minimizer of |S|/c (``toughness``), the first maximizer of t*c - |S|
-    (``is_t_tough``) and a minimum separator (suite T12).  A simplicial vertex's neighbours
-    outside S lie in one component, and u in S would see only the
-    component of a twin outside S, so the scan draws from
+    (``is_t_tough``) and a minimum separator (suite T12).  A simplicial
+    vertex's neighbours outside S lie in one component, and u in S would
+    see only the component of a twin outside S, so the scan draws from
     ``_tight_pool(nbr, pool)`` and counts only unions of twin classes.
 
     With ``apart`` = (a, b), nonadjacent and outside the pool, as for the
     per-edge search ``mintough._drop_set``, the whole pool is scanned and
-    only cutsets leaving a and b in different components are yielded.  Each holds W = N(a) & N(b), as a-w-b is a
-    path, so the plain loop counts only subsets holding W, and none if the
-    pool misses part of it.
+    only cutsets leaving a and b in different components are yielded.
+    Each holds W = N(a) & N(b), as a-w-b is a path, so the plain loop
+    counts only subsets holding W, and none if the pool misses part of it.
 
     ``need(s)`` gives the fewest components a set of size s must leave to
     matter; it never falls as s grows or as the caller's incumbent

@@ -15,14 +15,14 @@ the parent goes first on odd seeds and the change first on even seeds.
 Seeds count up from ``--first-seed`` across the workloads in the order
 given.  The script writes ``BENCH_<pr>.json``: per side ``src_lines``,
 the lines of the Python files under ``src/`` in its tree, and per
-workload the median with quartiles q1 and q3 of every end-to-end metric, of the
-unscaled wall-clock figures and of the passes a run made, the summed
-attempted and failed operations, and per workload the number of pairs in
-which the change did better on the workload's main metric (queries_per_s
-for a ``query-`` workload, graphs_per_s otherwise), in the direction that
-``BENCHMARK.json`` gives for it, with the verdict ``claim_holds``: the
-change won at least nine tenths of the pairs and its median beats the
-parent's by more than the parent's q3 - q1.  Per workload and end-to-end
+workload the median with quartiles q1 and q3 of every end-to-end
+metric, of the unscaled wall-clock figures and of the passes a run made,
+the summed attempted and failed operations, and per workload the number
+of pairs in which the change did better on the workload's main metric
+(queries_per_s for a ``query-`` workload, graphs_per_s otherwise), in
+the direction that ``BENCHMARK.json`` gives for it, with the verdict
+``claim_holds``: the change won at least nine tenths of the pairs and its
+median beats the parent's by more than the parent's q3 - q1.  Per workload and end-to-end
 metric, ``no_regression`` gives the verdict ``worse``, ``unresolved`` or
 ``ok`` against that metric's ``bound`` in ``BENCHMARK.json``.
 
