@@ -157,9 +157,9 @@ def set_to_str(vertices: Iterable[int]) -> str:
 
 # -- connected components ----------------------------------------------------
 # The package's three BFS loops.  The count-only loop stays separate: it is the
-# innermost loop of every cutset search, where counting through
-# len(component_masks(...)) measured 7-8.5% slower.  The walk of a large scan
-# counts by ``table_component_count`` over tables built once per scan.
+# innermost loop of every cutset search, and replaying a sweep's counts through
+# len(component_masks(...)) took 5-8% longer.  The walk of a large scan counts
+# by ``table_component_count`` over tables built once per scan.
 
 
 def component_count(nbr: Sequence[int], pool: int) -> int:

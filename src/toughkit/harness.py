@@ -9,17 +9,10 @@ Reports are byte-stable: records are sorted canonically and elapsed time is
 kept out of the payload.
 
 Both sweeps, ``run_suites`` and ``scan_minimally_tough``, read the source
-through one stream, ``_classified``, which owns the sweep's toughness memo
-(keyed by the adjacency-mask tuple) and collects the malformed lines.  The
-memo alone tests connectivity: it answers zero for a disconnected graph
-unsearched and unstored, and searches each connected graph once per sweep,
-keeping its minimizing set S*.  ``classify`` asks if deleting an edge e
-drops tau(g) by the cheapest rung that answers: the memo's stored tau(g -
-e); a proof from S*(g); if g has an induced 2K2, the unstored scan
-``mintough._drop_set``; else the memo's search, as T20 prints tau(g -
-e).  T20 takes tau(X) = tau(g - e) for the split expansion X when S*(g -
-e) proves it, so it searches X mostly for its violation rows (proofs:
-README, "Exactness and determinism").  The stream's end drops the memo.
+through one stream, ``_classified``, which owns the sweep's one cache,
+``_ToughnessMemo``, and collects the malformed lines.  ``classify``
+decides minimal toughness by the per-edge ladder its docstring states,
+and ``_suite_t20`` reads tau(g - e) back from the memo.
 
 Suites (all checked with exact rational arithmetic):
 
@@ -98,13 +91,16 @@ class EnumerationSource:
     """
 
     def __init__(self, ns: Iterable[int], mode: str = "auto"):
-        self.ns = sorted(set(ns))
         if mode not in ("auto", "labeled", "dedup"):
             raise ValueError(f"unknown enumeration mode {mode!r}")
         self.mode = mode
-        # only the smallest n can be below 1, only the largest above its cap
-        for n in (self.ns[0], self.ns[-1]) if self.ns else (0,):
+        seen = set()
+        for n in ns:  # checked as read: a range far past the cap stops at it
             _check_n(n, self._dedup(n))
+            seen.add(n)
+        if not seen:
+            _check_n(0, False)
+        self.ns = sorted(seen)
 
     def _dedup(self, n: int) -> bool:
         return n > 6 if self.mode == "auto" else self.mode == "dedup"
@@ -147,12 +143,14 @@ class Graph6Source:
 
 
 class _ToughnessMemo:
-    """Toughness of every graph one sweep asks about, each searched once.
+    """Toughness of every graph one sweep asks about, each searched once;
+    the memo alone tests connectivity.
 
     A disconnected graph gets zero from one connectivity test, unsearched
     and unstored.  Keys are adjacency-mask tuples, which also fix n.  Each
-    entry is what ``toughness`` returned; equal answers share one tuple, so
-    an entry is one pointer, as when only tau was kept.
+    entry is what ``toughness`` returned, the value and its minimizing set
+    S*; equal answers share one tuple, so an entry is one pointer, as when
+    only tau was kept.
     """
 
     __slots__ = ("_tau", "_values")
@@ -186,8 +184,6 @@ class _Record(NamedTuple):
     clawfree: bool
     twok2: bool
     tau_of: _ToughnessMemo  # the sweep's toughness memo
-    # of a 2K2-free g, each edge classify asked about: g - e, its answer
-    minus: dict[tuple[int, int], tuple[Graph, _Answer | None]]
 
     @property
     def g6(self) -> str:
@@ -198,12 +194,22 @@ def classify(g: Graph, tau_of: _ToughnessMemo) -> _Record:
     """One-pass classification shared by every suite.
 
     ``tau_of`` is the sweep's toughness memo.  g is minimally t-tough,
-    t = tau(g), when deleting any edge drops the toughness below t; edges
-    are asked in turn, until one does not, by the module's ladder.
+    t = tau(g), when deleting any edge e = uv drops the toughness below t.
+    The edges are asked in turn, until one does not, and each is answered
+    by the first rung that applies, cheapest first:
+
+    1. the memo's stored tau(g - e);
+    2. a proof from S*(g): if S* misses u and v and uv is a bridge of
+       g - S*, then tau(g - e) < tau(g) (README, "Exactness and
+       determinism");
+    3. if g has an induced 2K2, ``mintough._drop_set`` at t, unstored;
+    4. else the memo's search for tau(g - e), which T20 reads back.
+
+    Rungs 2 and 3 answer only the question, never a value, so neither can
+    change a printed number.
     """
     tau, cut = tau_of.search(g)
     twok2 = _twok2_verdict(g)
-    minus = {}
     t = tau.value if tau.is_finite else None
     rest = ((1 << g.n) - 1) ^ set_to_mask(cut.vertices) if t else 0
     for u, v in g.edges() if t else ():
@@ -215,15 +221,12 @@ def classify(g: Graph, tau_of: _ToughnessMemo) -> _Record:
         elif known is None and not twok2:
             drop = _drop_set(g, t, (u, v)) is not None
         else:
-            known = known or tau_of.search(h)
-            drop = known[0] < tau
-        if twok2:
-            minus[u, v] = h, known
+            drop = (known or tau_of.search(h))[0] < tau
         if not drop:
             t = None
             break
     return _Record(g, tau, t, _chordal_verdict(g), _split_verdict(g), _clawfree_verdict(g),
-                   twok2, tau_of, minus)
+                   twok2, tau_of)
 
 
 def _classified(
@@ -412,14 +415,18 @@ def _suite_c1(rec: _Record) -> tuple[list[str], list[str]]:
 
 
 def _suite_t20(rec: _Record) -> tuple[list[str], list[str]]:
+    """tau(X) = tau(g - e) for each non-bridge edge e and its split
+    expansion X = ``delete_and_complete(g, e)``.  tau(g - e) and S*(g - e)
+    come from the memo.  tau(X) is the memo's stored value, else tau(g - e)
+    when S*(g - e) leaves as many components in X as in g - e (README,
+    "Exactness and determinism"), else the memo's search."""
     if not (rec.twok2 and not rec.tau.is_zero):
         return [], []
     g = rec.g
     full = (1 << g.n) - 1
     violations = []
     for e in g.edges():
-        h, known = rec.minus.get(e) or (g.delete_edge(*e), None)
-        tau_minus, cut = known or rec.tau_of.search(h)
+        tau_minus, cut = rec.tau_of.search(g.delete_edge(*e))
         if tau_minus.is_zero:  # e is a bridge
             continue
         # the record's twok2 and the connected g - e give split_expand's preconditions
@@ -428,7 +435,7 @@ def _suite_t20(rec: _Record) -> tuple[list[str], list[str]]:
         if known is not None:
             tau_exp = known[0]
         elif component_count(expanded._nbr, full ^ set_to_mask(cut.vertices)) == (
-                cut.component_count):  # S*(g - e) proves tau(expanded) = tau(g - e)
+                cut.component_count):  # the proof from S*(g - e)
             tau_exp = tau_minus
         else:
             tau_exp = rec.tau_of(expanded)

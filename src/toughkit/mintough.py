@@ -4,16 +4,8 @@ A graph is minimally t-tough when its toughness is exactly t and deleting
 any single edge drops the toughness below t.  For every edge e of such a
 graph there is a witness: either e is a bridge, or some set S satisfies
 c(G-S) <= |S|/t and c((G-e)-S) > |S|/t, making e a bridge of G-S.  One
-search, ``_drop_set``, finds it and decides the edge: it scans only the
-sets that miss u and v and separate them in G-e, drawn from every other
-vertex (``edge_deletion_witness``, ``minimal_toughness_value``) or from
-the endpoints' neighborhood (``twok2_neighborhood_witness``); the
-claw-free witness is its size-one case at t = 1/2.  It returns the
-smallest such set with c((G-e)-S) > |S|/t, ties broken by
-lexicographically least vertex tuple.  At t <= tau(G) every cutset S of
-G-e with c((G-e)-S) > |S|/t separates u and v, as any other is a cutset
-of G with c((G-e)-S) = c(G-S) <= |S|/t, so no set is lost.  Every
-witness, found by a search or given by a formula, is built by
+search, ``_drop_set``, finds every witness and decides every edge.  Every
+witness, found by that search or given by a formula, is built by
 ``_edge_witness``, the one place that states the rule and counts the
 components; ``EdgeWitness.holds`` checks a witness by rebuilding it.
 """
@@ -99,7 +91,9 @@ def _drop_set(
     drops the toughness below t: () when e is a bridge, else the smallest
     (size, then lex) S drawn from ``pool`` (default V - {u, v}; it must
     miss u and v) that separates u and v in G-e with c((G-e)-S) > |S|/t, or
-    None.  Only such an S makes e a bridge of G-S, as a witness must."""
+    None.  Only such an S makes e a bridge of G-S, as a witness must.  At
+    t <= tau(g) the answer is that of a scan of every set; above tau(g) only
+    a missing witness can change (README, "Exactness and determinism")."""
     u, v = e
     minus = g.delete_edge(u, v)._nbr
     if component_count(minus, (1 << g.n) - 1) > 1:
@@ -175,13 +169,11 @@ def _witness_search(
 
 
 def edge_deletion_witness(g: Graph, t: Fraction | int, e: tuple[int, int]) -> EdgeWitness:
-    """Witness set for one edge of a minimally t-tough graph.
-
-    Bridges short-circuit to the empty set.  Otherwise the smallest set of
-    V - {u, v} that separates u and v in G-e and leaves more than |S|/t
-    components there is returned, built by ``_edge_witness``, which checks
-    all of its properties exactly.  A disconnected graph, which is not
-    minimally t-tough for any t, raises ValueError.
+    """Witness set for one edge of a minimally t-tough graph: the set
+    ``_drop_set`` finds at t over V - {u, v}, empty for a bridge, built and
+    checked by ``_edge_witness``.  RuntimeError when there is none; a
+    disconnected graph, which is not minimally t-tough for any t, raises
+    ValueError.
     """
     return _witness_search(
         g, t, e, "no witness for edge {e}: the graph is not minimally {t}-tough")

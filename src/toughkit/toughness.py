@@ -219,7 +219,11 @@ def _tight_pool(
     return kept, twins
 
 
-# ``_cutsets`` walks from the first size with more subsets than this.
+# ``_cutsets`` walks from the first size with more subsets than this.  On
+# small graphs a walk step costs as much as the count it saves: walking every
+# size halves the sweeps' component counts yet raises their CPU time by 5-13%
+# on a 2-core host.  At 200 every scan with n <= 9 keeps the loop; on the
+# 14-18 vertex queries thresholds from 0 to 1,000 time alike.
 _WALK_ABOVE = 200
 
 
@@ -290,12 +294,6 @@ def _cutsets(
     both vertices of ``apart``.  The walk counts the components of each
     set it reaches by ``table_component_count`` over
     ``neighbourhood_tables(nbr)``, built with the walk's other tables.
-
-    On small graphs a walk step costs as much as the count it saves:
-    walking every size halves the sweeps' component counts yet raises their
-    CPU time by 5-13% on a 2-core host.  At 200 every scan with n <= 9
-    keeps the loop; on the 14-18 vertex queries thresholds from 0 to 1,000
-    time alike.
     """
     n = len(nbr)
     full = (1 << n) - 1
@@ -425,17 +423,15 @@ def toughness(g: Graph) -> tuple[Toughness, WitnessSet | None]:
     """Exact toughness with a minimizing cutset.
 
     Complete graphs give (inf, None).  Disconnected graphs give (0, witness
-    with the empty set).  Otherwise ``_cutsets`` scans cutsets in
-    increasing size, lexicographic within a size, from the incumbent
-    ratio (n - |I|)/|I| of V - I, I a greedy least-degree independent set
-    (|I| >= 2 as g is not complete).  Until a set is kept, a set of size s
-    matters with at least s/r components, r the incumbent ratio, and after
-    that only with more, so the search keeps the first set that reaches
-    the seed and then each strict improvement.  The smallest minimizing
-    cutset, ties broken by lexicographically least vertex tuple, meets the
-    need of every moment before it and no later set meets the need after
-    it, so it is the witness, as in an unseeded search.  A kept set prunes
-    the scan from the next set on.
+    with the empty set).  Otherwise ``_cutsets`` scans the cutsets from the
+    incumbent ratio (n - |I|)/|I| of V - I, I a greedy least-degree
+    independent set (|I| >= 2 as g is not complete).  Until a set is kept,
+    a set of size s matters with at least s/r components, r the incumbent
+    ratio, and after that only with more, so the search keeps the first set
+    that reaches the seed and then each strict improvement.  The witness is
+    the smallest minimizing cutset, ties broken by lexicographically least
+    vertex tuple, as in an unseeded search (README, "Exactness and
+    determinism").
     """
     n = g.n
     if g.is_complete():

@@ -69,6 +69,43 @@ def test_src_lines_counts_the_python_files_under_src(tmp_path):
     assert bench_pairs.src_lines(tmp_path) == 5
 
 
+SOURCE_WITH_DOCSTRINGS = '''"""Module
+docstring."""
+
+# a comment
+import os  # trailing
+
+class C:
+    r\'\'\'Class docstring.\'\'\'
+    x = (1,
+
+         2)
+
+    def f(self):
+        """Function
+        docstring."""
+        s = """not a
+        docstring"""
+        """an expression, not the first statement"""
+        return s
+'''
+
+
+def test_src_code_lines_skips_blanks_comments_and_docstrings(tmp_path):
+    # a made-up exported tree: module, class and function docstrings and
+    # blank and comment-only lines do not count; each line of a statement
+    # split over lines does, as do a string that is no docstring and a
+    # line with a trailing comment
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text(SOURCE_WITH_DOCSTRINGS)
+    (tmp_path / "src" / "pkg" / "b.py").write_text("# only a comment\n\n")
+    (tmp_path / "src" / "pkg" / "notes.txt").write_text("x = 1\n")
+    assert bench_pairs.src_lines(tmp_path) == 19 + 2
+    # import, class, "x = (1," and "2)", def, the two lines of s, the bare
+    # string and return
+    assert bench_pairs.src_code_lines(tmp_path) == 9
+
+
 def test_summarize_spreads_the_passes():
     s = bench_pairs.summarize([_run(p, peak_rss_mb=30) for p in (52, 75, 59, 66, 40)])
     assert s["passes"] == {"value": 59, "q1": 46.0, "q3": 70.5}

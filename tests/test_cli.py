@@ -279,6 +279,8 @@ def test_jobs_flag():
         (["--enumerate", "9"], "dedup enumeration capped at n <= 8"),
         (["--enumerate", "9", "--dedup", "always"], "dedup enumeration capped at n <= 8"),
         (["--enumerate", "8", "--dedup", "never"], "labeled enumeration capped at n <= 7"),
+        (["--enumerate", "10" * 6], "dedup enumeration capped at n <= 8"),
+        (["--enumerate", "10" * 6, "--dedup", "never"], "labeled enumeration capped at n <= 7"),
     ],
 )
 def test_enumerate_bounds_checked_before_any_work(command, flags, message, capsys):
@@ -550,6 +552,36 @@ def test_cli_never_raises_on_short_input(command, text, arg, descriptor):
         args = [arg] if command in ("is-tough", "witness") else []
         code, _ = run_cli([command, *args], stdin_text=text)
     assert code in (0, 1, 2)
+
+
+def _quick_enumerate(text):
+    """Does --enumerate text stay clear of the sweeps over n = 5..8, which
+    take seconds to minutes?  int() reads signs, spaces, underscores,
+    leading zeros and non-ASCII digits, as argparse does."""
+    try:
+        return not 5 <= int(text) <= 8
+    except ValueError:
+        return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["verify", "scan"]),
+    st.one_of(st.sampled_from([*toughkit.harness.SUITES, "all"]), st.text(max_size=6)),
+    st.one_of(
+        st.text(max_size=6),
+        st.text(alphabet="0123456789+-_ \u0667\uff15", max_size=6),
+        st.integers().filter(lambda n: not 5 <= n <= 8).map(str),
+    ).filter(_quick_enumerate),
+    st.one_of(st.sampled_from(["auto", "always", "never"]), st.text(max_size=8)),
+)
+def test_enumerate_and_dedup_never_raise(command, suite, n, dedup):
+    # a usage error prints nothing on stdout
+    argv = [command, *([suite] if command == "verify" else []),
+            "--enumerate", n, "--dedup", dedup]
+    code, out = run_cli(argv)
+    assert code in (0, 1, 2)
+    assert code != 2 or out == ""
 
 
 def test_run_builds_its_parser_once(monkeypatch):

@@ -40,9 +40,10 @@ def test_unknown_suite_rejected():
 
 
 def test_enumeration_source_checks_range_up_front():
-    # each n is checked against the cap of the mode it will use
+    # each n is checked against the cap of the mode it will use, as it is
+    # read, so a range far past the cap stops there and builds no set
     for ns, mode in (([], "auto"), ([0, 3], "auto"), (range(1, 10), "auto"),
-                     ([9], "dedup"), ([8], "labeled")):
+                     ([9], "dedup"), ([8], "labeled"), (range(1, 10**12), "auto")):
         with pytest.raises(ValueError):
             EnumerationSource(ns, mode=mode)
     assert EnumerationSource(range(1, 9)).ns == list(range(1, 9))
@@ -366,22 +367,14 @@ def test_scan_and_reports_read_one_stream(source, monkeypatch):
     assert list(dict.fromkeys((r.g6, f"t={r.t}") for r in rows)) == c1.instances
 
 
-def test_dedup_sweep_work(monkeypatch):
-    # verify all --enumerate 7 --dedup always: toughness searches and the
-    # toughness module's component counts, each against its budget, and one
-    # canonical_key call per class of levels 1..7.  Searching every g - e
-    # and expansion took 7,045 searches and 112,327 counts, rebuilding
-    # levels 1..n-1 for every n took 1,180 keys, toughness without the
-    # V - I seed made 93,494 counts, and witness searches that drew tight
-    # cutsets from every vertex 89,065.  No scan with n <= 9 walks, as no pool
-    # of at most 9 vertices has more than _WALK_ABOVE subsets of a size, so
-    # no sweep builds the walk's neighbourhood tables
-    from toughkit import cli, enumeration
+def _count_sweep_work(monkeypatch, budget):
+    """Count toughness searches, the toughness module's component counts,
+    its walk tables and ``canonical_key`` calls, each failing once it runs
+    past its entry of ``budget``; returns the live counts."""
+    from toughkit import enumeration
 
     module = importlib.import_module("toughkit.toughness")
-    assert max(math.comb(9, size) for size in range(10)) <= module._WALK_ABOVE
-    calls = {"search": 0, "count": 0, "key": 0, "tables": 0}
-    budget = {"search": 4_749, "count": 85_194, "key": 996, "tables": 0}
+    calls = dict.fromkeys(budget, 0)
 
     def counted(name, real):
         def call(*args):
@@ -396,8 +389,53 @@ def test_dedup_sweep_work(monkeypatch):
     monkeypatch.setattr(module, "neighbourhood_tables",
                         counted("tables", module.neighbourhood_tables))
     monkeypatch.setattr(enumeration, "canonical_key", counted("key", enumeration.canonical_key))
+    return calls
+
+
+def test_dedup_sweep_work(monkeypatch):
+    # verify all --enumerate 7 --dedup always: toughness searches and the
+    # toughness module's component counts, each against its budget, and one
+    # canonical_key call per class of levels 1..7.  Searching every g - e
+    # and expansion took 7,045 searches and 112,327 counts, rebuilding
+    # levels 1..n-1 for every n took 1,180 keys, toughness without the
+    # V - I seed made 93,494 counts, and witness searches that drew tight
+    # cutsets from every vertex 89,065.  No scan with n <= 9 walks, as no pool
+    # of at most 9 vertices has more than _WALK_ABOVE subsets of a size, so
+    # no sweep builds the walk's neighbourhood tables
+    from toughkit import cli
+
+    module = importlib.import_module("toughkit.toughness")
+    assert max(math.comb(9, size) for size in range(10)) <= module._WALK_ABOVE
+    calls = _count_sweep_work(
+        monkeypatch, {"search": 4_749, "count": 85_194, "key": 996, "tables": 0})
     assert cli.run(["verify", "all", "--enumerate", "7", "--dedup", "always"], io.StringIO()) == 1
     assert calls["key"] == 996
+
+
+def test_scan_sweep_work(monkeypatch):
+    # scan --enumerate 7 --dedup always: no suite asks for tau(g - e), so
+    # the proof from S*(g) settles many edges unsearched; without that proof
+    # the scan made 3,839 searches
+    from toughkit import cli
+
+    calls = _count_sweep_work(
+        monkeypatch, {"search": 2_101, "count": 40_719, "key": 996, "tables": 0})
+    assert cli.run(["scan", "--enumerate", "7", "--dedup", "always"], io.StringIO()) == 0
+    assert calls["key"] == 996
+
+
+@pytest.mark.parametrize("source", [
+    EnumerationSource(range(1, 6), mode="labeled"),
+    EnumerationSource(range(1, 7), mode="dedup"),
+], ids=["labeled-n<=5", "dedup-n<=6"])
+def test_each_suite_alone_reports_as_in_the_full_sweep(source):
+    # a suite's rows do not depend on the suites run beside it: T20 reads
+    # tau(g - e) from the memo whether or not classify stored it
+    together = run_suites(list(SUITES), source)
+    for sid, full in zip(SUITES, together):
+        (alone,) = run_suites([sid], source)
+        assert (alone.instances, alone.violations, alone.scanned) == (
+            full.instances, full.violations, full.scanned), sid
 
 
 @pytest.fixture(scope="module")

@@ -14,8 +14,9 @@ pair runs ``perfbench/run.py --trace 0`` once in each tree for the
 the parent goes first on odd seeds and the change first on even seeds.
 Seeds count up from ``--first-seed`` across the workloads in the order
 given.  The script writes ``BENCH_<pr>.json``: per side ``src_lines``,
-the lines of the Python files under ``src/`` in its tree, and per
-workload the median with quartiles q1 and q3 of every end-to-end
+the lines of the Python files under ``src/`` in its tree, and
+``src_code_lines``, those of them that hold code (``code_lines``), and
+per workload the median with quartiles q1 and q3 of every end-to-end
 metric, of the unscaled wall-clock figures and of the passes a run made,
 the summed attempted and failed operations, and per workload the number
 of pairs in which the change did better on the workload's main metric
@@ -34,6 +35,7 @@ into ``run_seconds`` and reads a higher peak RSS.  Read the two together.
 from __future__ import annotations
 
 import argparse
+import ast
 import io
 import json
 import os
@@ -42,6 +44,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,6 +73,31 @@ def export(rev: str, dest: Path) -> None:
 def src_lines(tree: Path) -> int:
     """The lines of the Python files under tree/src."""
     return sum(len(path.read_bytes().splitlines()) for path in (tree / "src").rglob("*.py"))
+
+
+def code_lines(source: bytes) -> int:
+    """The lines of one Python file that hold a token other than a comment
+    or a docstring: blank lines, comment-only lines and docstrings do not
+    count, and a statement split over lines counts each line it holds."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and ast.get_docstring(node, clean=False):
+            doc = node.body[0].value
+            docstrings.add((doc.lineno, doc.col_offset))
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.tokenize(io.BytesIO(source).readline):
+        if tok.type not in skip and not (tok.type == tokenize.STRING and tok.start in docstrings):
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
+def src_code_lines(tree: Path) -> int:
+    """The lines of the Python files under tree/src that hold code, by
+    ``code_lines``."""
+    return sum(code_lines(path.read_bytes()) for path in (tree / "src").rglob("*.py"))
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
@@ -182,7 +210,7 @@ def main(argv=None) -> int:
         trees = {side: Path(tmp) / side for side in revs}
         for side, rev in revs.items():
             export(rev, trees[side])
-            lines[side] = src_lines(trees[side])
+            lines[side] = src_lines(trees[side]), src_code_lines(trees[side])
         for workload, count in plan:
             seeds[workload] = list(range(seed, seed + count))
             seed += count
@@ -227,7 +255,8 @@ def main(argv=None) -> int:
         bench[side] = {
             "git_rev": rev,
             "src_sha256": runs[side][plan[0][0]][0]["env"]["src_sha256"],
-            "src_lines": lines[side],
+            "src_lines": lines[side][0],
+            "src_code_lines": lines[side][1],
             "workloads": summaries[side],
         }
     out = ROOT / f"BENCH_{args.pr}.json"
