@@ -19,13 +19,13 @@ from itertools import combinations, islice
 from typing import Iterator
 
 from .graph6 import graph_from_key
-from .graphs import Graph, component_count, component_masks
+from .graphs import Graph, component_count, component_masks, edge
 
 MAX_DEDUP_N = 8
 MAX_LABELED_N = 7
 
 
-def canonical_key(g: Graph) -> int:
+def canonical_key(g: Graph, automorphisms: list[tuple[int, ...]] | None = None) -> int:
     """Lexicographically minimal adjacency encoding, as an integer.
 
     Bits are ordered (0,1), (0,2), (1,2), (0,3), ... with the first pair in
@@ -33,12 +33,15 @@ def canonical_key(g: Graph) -> int:
     lexicographic comparison of equal-length bit strings.  The search is
     exponential on sparse graphs with many near-ties: it did not finish in
     30 s on a 39-vertex comb tree.  On the CLI path only the dedup
-    enumeration (n <= 8) calls it.
+    enumeration (n <= 8) calls it.  Given a list, the search also appends
+    to it permutations p (vertex i to p[i]) that generate the automorphism
+    group of ``graph_from_key(g.n, key)`` (see ``_min_encoding``).
     """
-    return _min_encoding(g._nbr, [(1 << g.n) - 1] * g.n)
+    return _min_encoding(g._nbr, [(1 << g.n) - 1] * g.n, automorphisms)
 
 
-def _min_encoding(nbr: tuple[int, ...], cells: list[int]) -> int:
+def _min_encoding(nbr: tuple[int, ...], cells: list[int],
+                  automorphisms: list[tuple[int, ...]] | None = None) -> int:
     """Least adjacency encoding over the orderings whose k-th vertex lies in
     the vertex mask ``cells[k]``.
 
@@ -49,6 +52,14 @@ def _min_encoding(nbr: tuple[int, ...], cells: list[int]) -> int:
     skipped while a lower-indexed twin (N(v) - w == N(w) - v) is unplaced in
     the same cell: swapping the two is an automorphism that fixes every
     placed vertex and every cell, so both branches give the same encodings.
+
+    ``automorphisms``, if given, gets the twin swaps and, for every leaf
+    whose encoding equals that of the first least leaf B, the map from B to
+    it, all relabeled as B places the vertices.  With every position free,
+    these generate the automorphism group (McKay & Piperno 2014): the least
+    leaves are the images of B under it, the least-column rule keeps them
+    all, and sorting twins by index takes each one to a leaf the twin rule
+    keeps.
     """
     n = len(nbr)
     total = n * (n - 1) // 2
@@ -58,12 +69,16 @@ def _min_encoding(nbr: tuple[int, ...], cells: list[int]) -> int:
     ]
     best = 1 << total  # above every encoding
     placed: list[int] = []
+    leaves: list[tuple[int, ...]] = []  # the placements that reach best, first to last
 
     def extend(prefix: int, used: int) -> None:
         nonlocal best
         k = len(placed)
         if k == n:
-            best = prefix
+            if prefix < best:
+                best = prefix
+                leaves.clear()
+            leaves.append(tuple(placed))
             return
         free = cells[k] & ~used
         least, ties = 1 << k, []
@@ -88,6 +103,16 @@ def _min_encoding(nbr: tuple[int, ...], cells: list[int]) -> int:
             placed.pop()
 
     extend(0, 0)
+    if automorphisms is not None:
+        at = [0] * n
+        for i, v in enumerate(leaves[0]):
+            at[v] = i
+        automorphisms += (tuple(at[v] for v in leaf) for leaf in leaves[1:])
+        for v, w in combinations(range(n), 2):
+            if low_twins[w] >> v & 1:
+                swap = list(range(n))
+                swap[at[v]], swap[at[w]] = at[w], at[v]
+                automorphisms.append(tuple(swap))
     return best
 
 
@@ -155,8 +180,29 @@ def _is_canonical_deletion(masks: tuple[int, ...]) -> bool:
     return True
 
 
-def _dedup_levels() -> Iterator[list[Graph]]:
-    """Level k = 1, 2, ...: a canonical representative per connected class, in key order.
+def _edge_orbits(g: Graph, automorphisms: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """For each edge of g, in ``g.edges()`` order, the index of the first
+    edge of its orbit under the group the permutations generate."""
+    edges = g.edges()
+    index = {e: i for i, e in enumerate(edges)}
+    lead = [-1] * len(edges)
+    for i, e in enumerate(edges):
+        if lead[i] >= 0:
+            continue
+        lead[i], todo = i, [e]
+        while todo:  # the closure of e's orbit under the permutations
+            u, v = todo.pop()
+            for p in automorphisms:
+                j = index[edge(p[u], p[v])]
+                if lead[j] < 0:
+                    lead[j] = i
+                    todo.append(edges[j])
+    return tuple(lead)
+
+
+def _dedup_levels() -> Iterator[list[tuple[Graph, tuple[int, ...]]]]:
+    """Level k = 1, 2, ...: a canonical representative per connected class,
+    in key order, each with its ``_edge_orbits``.
 
     Every connected graph has a non-cut vertex, whose deletion leaves a
     connected graph, so attaching a new vertex v to every non-empty neighbor
@@ -166,13 +212,18 @@ def _dedup_levels() -> Iterator[list[Graph]]:
     of largest invariant in a connected G; G - m is connected, so some
     representative P is isomorphic to it, and the child of P that is G with
     its new vertex at m is kept.  Survivors are told apart by
-    ``_certificate``; the lex-min key is computed once per class.
+    ``_certificate``; the lex-min key is computed once per class, by the
+    search that also finds the automorphisms.
     """
     k, classes = 1, {0: (0,)}
     while True:
-        keys = sorted(canonical_key(Graph._from_masks(k, m)) for m in classes.values())
-        reps = [graph_from_key(k, key) for key in keys]
-        yield reps
+        keyed = []
+        for m in classes.values():
+            automorphisms: list[tuple[int, ...]] = []
+            keyed.append((canonical_key(Graph._from_masks(k, m), automorphisms), automorphisms))
+        keyed.sort()  # keys are distinct
+        reps = [graph_from_key(k, key) for key, _ in keyed]
+        yield [(g, _edge_orbits(g, autos)) for g, (_, autos) in zip(reps, keyed)]
         k, classes = k + 1, {}
         for g in reps:
             for sub in range(1, 1 << (k - 1)):
@@ -190,7 +241,7 @@ def enumerate_connected_graphs(n: int, dedup: bool) -> Iterator[Graph]:
     representative per isomorphism class, in increasing canonical-key order.
     """
     _check_n(n, dedup)
-    yield from (next(islice(_dedup_levels(), n - 1, None)) if dedup
+    yield from ((g for g, _ in next(islice(_dedup_levels(), n - 1, None))) if dedup
                 else _labeled_graphs(n, connected_only=True))
 
 

@@ -12,7 +12,9 @@ Both sweeps, ``run_suites`` and ``scan_minimally_tough``, read the source
 through one stream, ``_classified``, which owns the sweep's one cache,
 ``_ToughnessMemo``, and collects the malformed lines.  ``classify``
 decides minimal toughness by the per-edge ladder its docstring states,
-and ``_suite_t20`` reads tau(g - e) back from the memo.
+and ``_suite_t20`` reads tau(g - e) back from the memo.  Each per-edge
+question is asked once per edge orbit that the source supplies
+(``_orbit_answers``).
 
 Suites (all checked with exact rational arithmetic):
 
@@ -41,7 +43,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .enumeration import _check_n, _dedup_levels, enumerate_connected_graphs
 from .families import (
@@ -76,6 +78,7 @@ HALF = Fraction(1, 2)
 ONE = Fraction(1)
 
 _Answer = tuple[Toughness, WitnessSet | None]  # what ``toughness`` returns
+_Edge = tuple[int, int]
 
 
 # -- sources -------------------------------------------------------------------
@@ -111,12 +114,12 @@ class EnumerationSource:
         span = f"n={lo}..{hi}" if lo != hi else f"n={lo}"
         return f"enumeration {span} mode={self.mode}"
 
-    def __iter__(self) -> Iterator[tuple[Graph | None, str | None]]:
+    def __iter__(self) -> Iterator[tuple[Graph, Sequence[int] | None, None]]:
         levels = enumerate(_dedup_levels(), start=1)
         for n in self.ns:  # sorted: one run builds each dedup level once
-            yield from ((g, None) for g in (
+            yield from ((g, orbits, None) for g, orbits in (
                 next(level for k, level in levels if k == n) if self._dedup(n)
-                else enumerate_connected_graphs(n, dedup=False)))
+                else ((g, None) for g in enumerate_connected_graphs(n, dedup=False))))
 
 
 class Graph6Source:
@@ -129,14 +132,14 @@ class Graph6Source:
         self.description = description
         self.cap = check_cap(cap)
 
-    def __iter__(self) -> Iterator[tuple[Graph | None, str | None]]:
+    def __iter__(self) -> Iterator[tuple[Graph | None, None, str | None]]:
         for i, line in enumerate(self.lines, start=1):
             if not line.strip():
                 continue
             try:
-                yield parse_graph6(line, self.cap), None
+                yield parse_graph6(line, self.cap), None, None
             except Graph6Error as exc:
-                yield None, f"line {i}: {exc}"
+                yield None, None, f"line {i}: {exc}"
 
 
 # -- per-graph classification -----------------------------------------------------
@@ -177,6 +180,7 @@ class _ToughnessMemo:
 
 class _Record(NamedTuple):
     g: Graph
+    orbits: Sequence[int]  # per edge of g, the index of its orbit's first edge
     tau: Toughness  # zero exactly when g is disconnected
     t: Fraction | None  # minimal toughness value, None if not minimally tough
     chordal: bool
@@ -190,13 +194,16 @@ class _Record(NamedTuple):
         return encode_graph6(self.g)
 
 
-def classify(g: Graph, tau_of: _ToughnessMemo) -> _Record:
+def classify(g: Graph, tau_of: _ToughnessMemo, orbits: Sequence[int] | None = None) -> _Record:
     """One-pass classification shared by every suite.
 
-    ``tau_of`` is the sweep's toughness memo.  g is minimally t-tough,
-    t = tau(g), when deleting any edge e = uv drops the toughness below t.
-    The edges are asked in turn, until one does not, and each is answered
-    by the first rung that applies, cheapest first:
+    ``tau_of`` is the sweep's toughness memo.  ``orbits`` gives, for each
+    edge in ``g.edges()`` order, the index of the first edge of its orbit
+    under some automorphisms of g; by default each edge is its own orbit.
+    g is minimally t-tough, t = tau(g), when deleting any edge e = uv drops
+    the toughness below t.  The first edge of each orbit is asked in turn,
+    until one does not drop, and each is answered by the first rung that
+    applies, cheapest first:
 
     1. the memo's stored tau(g - e);
     2. a proof from S*(g): if S* misses u and v and uv is a bridge of
@@ -212,7 +219,11 @@ def classify(g: Graph, tau_of: _ToughnessMemo) -> _Record:
     twok2 = _twok2_verdict(g)
     t = tau.value if tau.is_finite else None
     rest = ((1 << g.n) - 1) ^ set_to_mask(cut.vertices) if t else 0
-    for u, v in g.edges() if t else ():
+    edges = g.edges()
+    orbits = range(len(edges)) if orbits is None else orbits
+    for i, (u, v) in enumerate(edges) if t else ():
+        if orbits[i] < i:
+            continue  # answered by the orbit's first edge
         h = g.delete_edge(u, v)
         known = tau_of.peek(h)
         if known is None and rest >> u & rest >> v & 1 and (
@@ -225,22 +236,24 @@ def classify(g: Graph, tau_of: _ToughnessMemo) -> _Record:
         if not drop:
             t = None
             break
-    return _Record(g, tau, t, _chordal_verdict(g), _split_verdict(g), _clawfree_verdict(g),
-                   twok2, tau_of)
+    return _Record(g, orbits, tau, t, _chordal_verdict(g), _split_verdict(g),
+                   _clawfree_verdict(g), twok2, tau_of)
 
 
 def _classified(
     source: EnumerationSource | Graph6Source, malformed: list[str]
 ) -> Iterator[_Record]:
     """The record of every graph of the source, in source order; each
-    malformed line's message goes to ``malformed`` instead.  The sweep's
+    malformed line's message goes to ``malformed`` instead.  A source yields
+    (graph, edge orbits or None, None), a dedup representative with its
+    ``enumeration._edge_orbits``, or (None, None, message).  The sweep's
     toughness memo is built here and lives as long as the stream."""
     tau_of = _ToughnessMemo()
-    for g, err in source:
+    for g, orbits, err in source:
         if g is None:
             malformed.append(err or "malformed line")
         else:
-            yield classify(g, tau_of)
+            yield classify(g, tau_of, orbits)
 
 
 # -- report --------------------------------------------------------------------
@@ -382,18 +395,36 @@ def _suite_c18(rec: _Record) -> tuple[list[str], list[str]]:
     return [], violations
 
 
+def _orbit_answers(rec: _Record, answer: Callable[[_Edge], object]
+                   ) -> Iterator[tuple[_Edge, _Edge, object]]:
+    """(e, f, answer(f)) for each edge e of g in ``g.edges()`` order, f the
+    first edge of e's orbit; answer is called once per orbit.  An
+    automorphism of g that takes f to e takes every per-edge question
+    about f to the same question about e (README, "Edge orbits")."""
+    edges = rec.g.edges()
+    answers: list = []
+    for i, e in enumerate(edges):
+        j = rec.orbits[i]
+        answers.append(answers[j] if j < i else answer(e))
+        yield e, edges[j], answers[i]
+
+
 def _witness_failures(rec: _Record, witness: Callable[..., object], *args) -> list[str]:
     """``edge=u-v <reason>`` for each edge e whose ``witness(g, *args, e)``
     raises RuntimeError; a returned witness was built by
     ``mintough._edge_witness``, which checks the rule.  A bridge gets the
-    search's own bridge witness, so it never raises."""
-    violations = []
-    for e in rec.g.edges():
+    search's own bridge witness, so it never raises.  The witness is asked
+    once per orbit, and again for each other edge of an orbit that fails,
+    so that each message names its own edge."""
+
+    def failure(e: _Edge) -> str | None:
         try:
             witness(rec.g, *args, e)
         except RuntimeError as exc:
-            violations.append(f"edge={e[0]}-{e[1]} {exc}")
-    return violations
+            return f"edge={e[0]}-{e[1]} {exc}"
+        return None
+
+    return [msg if e == f else failure(e) for e, f, msg in _orbit_answers(rec, failure) if msg]
 
 
 def _suite_l19(rec: _Record) -> tuple[list[str], list[str]]:
@@ -416,19 +447,21 @@ def _suite_c1(rec: _Record) -> tuple[list[str], list[str]]:
 
 def _suite_t20(rec: _Record) -> tuple[list[str], list[str]]:
     """tau(X) = tau(g - e) for each non-bridge edge e and its split
-    expansion X = ``delete_and_complete(g, e)``.  tau(g - e) and S*(g - e)
-    come from the memo.  tau(X) is the memo's stored value, else tau(g - e)
-    when S*(g - e) leaves as many components in X as in g - e (README,
-    "Exactness and determinism"), else the memo's search."""
+    expansion X = ``delete_and_complete(g, e)``, answered once per edge
+    orbit.  tau(g - e) and S*(g - e) come from the memo.  tau(X) is the
+    memo's stored value, else tau(g - e) when S*(g - e) leaves as many
+    components in X as in g - e (README, "Exactness and determinism"),
+    else the memo's search."""
     if not (rec.twok2 and not rec.tau.is_zero):
         return [], []
     g = rec.g
     full = (1 << g.n) - 1
-    violations = []
-    for e in g.edges():
+
+    def expansion(e: _Edge) -> list[str]:
+        """The violations of e, without the edge; none for a bridge."""
         tau_minus, cut = rec.tau_of.search(g.delete_edge(*e))
         if tau_minus.is_zero:  # e is a bridge
-            continue
+            return []
         # the record's twok2 and the connected g - e give split_expand's preconditions
         expanded = delete_and_complete(g, e)
         known = rec.tau_of.peek(expanded)
@@ -439,13 +472,15 @@ def _suite_t20(rec: _Record) -> tuple[list[str], list[str]]:
             tau_exp = tau_minus
         else:
             tau_exp = rec.tau_of(expanded)
+        found = []
         if tau_exp != tau_minus:
-            violations.append(
-                f"edge={e[0]}-{e[1]} tau-expanded={tau_exp} tau-deleted={tau_minus}"
-            )
+            found.append(f"tau-expanded={tau_exp} tau-deleted={tau_minus}")
         if not _split_verdict(expanded):
-            violations.append(f"edge={e[0]}-{e[1]} expansion-not-split")
-    return [], violations
+            found.append("expansion-not-split")
+        return found
+
+    return [], [f"edge={e[0]}-{e[1]} {d}" for e, _, found in _orbit_answers(rec, expansion)
+                for d in found]
 
 
 def _suite_kriesell(rec: _Record) -> tuple[list[str], list[str]]:

@@ -15,6 +15,7 @@ from toughkit import enumeration
 from toughkit.enumeration import (
     _certificate,
     _dedup_levels,
+    _edge_orbits,
     _is_canonical_deletion,
     _labeled_graphs,
     enumerate_trees,
@@ -160,7 +161,7 @@ def test_filtered_levels_match_unfiltered_growth_up_to_n7(monkeypatch):
         assert set(classes) == certified[k]
         reps = [graph_from_key(k, key) for key in
                 sorted(canonical_key(Graph._from_masks(k, m)) for m in classes.values())]
-        assert reps == filtered[k]
+        assert reps == [g for g, _ in filtered[k]]
 
 
 def test_n7_level_certifies_at_most_1477_candidates(monkeypatch):
@@ -256,6 +257,46 @@ def test_canonical_key_equals_brute_force_on_twin_rich_graphs():
         assert g.n in (6, 7)
         h = _relabeled(g, rng)
         assert canonical_key(g) == canonical_key(h) == brute_force_key(h)
+
+
+def _brute_force_edge_orbits(g):
+    """Per edge, in g.edges() order, the index of the first edge of its
+    orbit under every automorphism, found among all n! permutations."""
+    edges = g.edges()
+    orbit = {e: {e} for e in edges}
+    for p in permutations(range(g.n)):
+        if all(g.has_edge(p[u], p[v]) for u, v in edges):
+            for u, v in edges:
+                orbit[u, v].add((min(p[u], p[v]), max(p[u], p[v])))
+    return tuple(edges.index(min(orbit[e], key=edges.index)) for e in edges)
+
+
+def test_harvested_automorphisms_give_the_edge_orbits(monkeypatch):
+    # every permutation the key search harvests is an automorphism of its
+    # representative (n <= 8), and for n <= 6 the orbits they generate are
+    # those of the whole automorphism group
+    harvested = {k: [] for k in range(1, 9)}
+
+    def recording(g, automorphisms):
+        key = canonical_key(g, automorphisms)
+        harvested[g.n].append((key, automorphisms))
+        return key
+
+    monkeypatch.setattr(enumeration, "canonical_key", recording)
+    edges = orbits = 0
+    for k, level in zip(range(1, 9), _dedup_levels()):
+        for (g, lead), (key, autos) in zip(level, sorted(harvested[k]), strict=True):
+            assert g == graph_from_key(k, key)
+            for p in autos:
+                assert sorted(p) == list(range(k)), (g, p)
+                assert all(g.has_edge(p[u], p[v]) for u, v in g.edges()), (g, p)
+            assert lead == _edge_orbits(g, autos)
+            if k <= 6:
+                assert lead == _brute_force_edge_orbits(g), g
+            if k <= 7:
+                edges += len(lead)
+                orbits += sum(j == i for i, j in enumerate(lead))
+    assert (edges, orbits) == (10_664, 6_425)
 
 
 def test_labeled_connected_counts():

@@ -399,7 +399,9 @@ def test_dedup_sweep_work(monkeypatch):
     # and expansion took 7,045 searches and 112,327 counts, rebuilding
     # levels 1..n-1 for every n took 1,180 keys, toughness without the
     # V - I seed made 93,494 counts, and witness searches that drew tight
-    # cutsets from every vertex 89,065.  No scan with n <= 9 walks, as no pool
+    # cutsets from every vertex 89,065.  Asking every edge rather than one
+    # edge per automorphism orbit took 4,749 searches and 85,194 counts.
+    # No scan with n <= 9 walks, as no pool
     # of at most 9 vertices has more than _WALK_ABOVE subsets of a size, so
     # no sweep builds the walk's neighbourhood tables
     from toughkit import cli
@@ -407,7 +409,7 @@ def test_dedup_sweep_work(monkeypatch):
     module = importlib.import_module("toughkit.toughness")
     assert max(math.comb(9, size) for size in range(10)) <= module._WALK_ABOVE
     calls = _count_sweep_work(
-        monkeypatch, {"search": 4_749, "count": 85_194, "key": 996, "tables": 0})
+        monkeypatch, {"search": 2_589, "count": 45_963, "key": 996, "tables": 0})
     assert cli.run(["verify", "all", "--enumerate", "7", "--dedup", "always"], io.StringIO()) == 1
     assert calls["key"] == 996
 
@@ -415,11 +417,12 @@ def test_dedup_sweep_work(monkeypatch):
 def test_scan_sweep_work(monkeypatch):
     # scan --enumerate 7 --dedup always: no suite asks for tau(g - e), so
     # the proof from S*(g) settles many edges unsearched; without that proof
-    # the scan made 3,839 searches
+    # the scan made 3,839 searches, and asking every edge rather than one
+    # edge per automorphism orbit 2,101 searches and 40,719 counts
     from toughkit import cli
 
     calls = _count_sweep_work(
-        monkeypatch, {"search": 2_101, "count": 40_719, "key": 996, "tables": 0})
+        monkeypatch, {"search": 1_593, "count": 30_461, "key": 996, "tables": 0})
     assert cli.run(["scan", "--enumerate", "7", "--dedup", "always"], io.StringIO()) == 0
     assert calls["key"] == 996
 
@@ -436,6 +439,18 @@ def test_each_suite_alone_reports_as_in_the_full_sweep(source):
         (alone,) = run_suites([sid], source)
         assert (alone.instances, alone.violations, alone.scanned) == (
             full.instances, full.violations, full.scanned), sid
+
+
+def test_orbit_path_reports_as_the_per_edge_path():
+    # the dedup classes with n <= 7, with their edge orbits and again as
+    # graph6 lines, which carry none: answering once per orbit changes no row
+    orbit = EnumerationSource(range(1, 8), "dedup")
+    per_edge = Graph6Source(
+        [encode_graph6(g) for n in range(1, 8) for g in enumerate_connected_graphs(n, True)])
+    for shared, each in zip(run_suites(list(SUITES), orbit), run_suites(list(SUITES), per_edge)):
+        assert (shared.instances, shared.violations, shared.scanned) == (
+            each.instances, each.violations, each.scanned), shared.suite
+    assert scan_minimally_tough(orbit) == scan_minimally_tough(per_edge)
 
 
 @pytest.fixture(scope="module")
