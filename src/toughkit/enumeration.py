@@ -15,11 +15,12 @@ Desk scale only.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations, islice
 from typing import Iterator
 
 from .graph6 import graph_from_key
-from .graphs import Graph, component_count, component_masks, edge
+from .graphs import Graph, component_count, component_masks, edge, mask_to_tuple
 
 MAX_DEDUP_N = 8
 MAX_LABELED_N = 7
@@ -178,6 +179,99 @@ def _is_canonical_deletion(masks: tuple[int, ...]) -> bool:
         if outranks and component_count(masks, (2 << v) - 1 ^ 1 << w) == 1:
             return False
     return True
+
+
+def _refine(nbr: tuple[int, ...], cells: list[int], queue: deque[int]) -> None:
+    """Refine the ordered partition ``cells`` (vertex masks) in place until
+    it is equitable: the vertices of a cell have equally many neighbours in
+    every cell.
+
+    Each splitter W taken from ``queue`` splits every cell by the number of
+    neighbours in W, into fragments in count order.  All fragments but the
+    first largest join the queue; the counts into that one follow from its
+    parent's and its siblings' (Hopcroft 1971), so ``queue`` must hold the
+    unit cell, or the vertex just split off an equitable partition.  Every
+    step depends only on counts, sizes and positions, so relabeling the
+    graph relabels the result.
+    """
+    while queue:
+        w = queue.popleft()
+        i = 0
+        while i < len(cells):
+            x = cells[i]
+            i += 1
+            if not x & (x - 1):
+                continue
+            parts: dict[int, int] = {}
+            while x:
+                low = x & -x
+                x ^= low
+                count = (nbr[low.bit_length() - 1] & w).bit_count()
+                parts[count] = parts.get(count, 0) | low
+            if len(parts) > 1:
+                split = [parts[c] for c in sorted(parts)]
+                cells[i - 1:i] = split
+                big = max(split, key=int.bit_count)
+                queue.extend(p for p in split if p != big)
+                i += len(split) - 1
+
+
+def _individualized(nbr: tuple[int, ...], cells: list[int], i: int, v: int) -> list[int]:
+    """A copy of the equitable ``cells`` with v split off ahead of the rest
+    of ``cells[i]``, refined."""
+    cells = cells[:i] + [1 << v, cells[i] ^ 1 << v] + cells[i + 1:]
+    _refine(nbr, cells, deque([1 << v]))
+    return cells
+
+
+def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Automorphisms p of g (vertex i to p[i]) for ``_edge_orbits``, found
+    by individualization and refinement (McKay & Piperno 2014) without
+    backtracking.
+
+    The first path individualizes the first vertex v of the first
+    non-singleton cell of the equitable partition until it is discrete.
+    Then, deepest level first, each other vertex w of that level's cell
+    that the orbits found so far do not already join to v is individualized
+    instead, and followed down the same rule to one leaf.  The map from the
+    first leaf to it is kept only if it is an automorphism.  Every map kept
+    so far fixes the vertices individualized above the current level, so
+    their orbits are orbits of that level's stabilizer.  The work is
+    polynomial; a group the harvest misses costs only work (README, "Edge
+    orbits").
+    """
+    nbr, n = g._nbr, g.n
+    edges = g.edges()
+    cells = [(1 << n) - 1] if n else []
+    _refine(nbr, cells, deque(cells))
+    path: list[tuple[list[int], int]] = []  # (cells, target index) per level
+
+    def leaf(cells: list[int], path: list | None = None) -> list[int]:
+        while len(cells) < n:
+            i = next(i for i, x in enumerate(cells) if x & (x - 1))
+            if path is not None:
+                path.append((cells, i))
+            cells = _individualized(nbr, cells, i, (cells[i] & -cells[i]).bit_length() - 1)
+        return [x.bit_length() - 1 for x in cells]
+
+    first = leaf(cells, path)
+    orbit = list(range(n))
+    found = []
+    for cells, i in reversed(path):
+        v = (cells[i] & -cells[i]).bit_length() - 1
+        for w in mask_to_tuple(cells[i]):
+            if orbit[w] == orbit[v]:
+                continue
+            p = [0] * n
+            for a, b in zip(first, leaf(_individualized(nbr, cells, i, w))):
+                p[a] = b
+            if all(nbr[p[a]] >> p[b] & 1 for a, b in edges):
+                found.append(tuple(p))
+                for a in range(n):  # join the orbits of a and p[a]
+                    x, y = orbit[a], orbit[p[a]]
+                    if x != y:
+                        orbit = [x if o == y else o for o in orbit]
+    return found
 
 
 def _edge_orbits(g: Graph, automorphisms: list[tuple[int, ...]]) -> tuple[int, ...]:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+from .enumeration import _automorphisms, _edge_orbits
 from .graphs import Graph, component_count, mask_to_tuple, set_to_mask, set_to_str
 from .toughness import Toughness, _checked_set, _checked_t, _cutsets, toughness
 
@@ -115,17 +116,21 @@ def is_minimally_t_tough(g: Graph, t: Fraction | int) -> bool:
 def minimal_toughness_value(g: Graph, tau: Toughness | None = None) -> Fraction | None:
     """The t for which g is minimally t-tough, or None; ``tau`` is tau(g) if known.
 
-    ``_drop_set`` decides each edge at t = tau(g).  Queries do not search
-    tau(g - e) per edge, which took 10.2x as long on the benchmark's 14-18
-    vertex graphs; a sweep asks ``_drop_set`` only after its cheaper rungs
-    (``harness``).
+    ``_drop_set`` decides the first edge of each orbit of the automorphisms
+    that ``enumeration._automorphisms`` finds, at t = tau(g); the rest of
+    the orbit has the same answer (README, "Edge orbits").  Queries do not
+    search tau(g - e) per edge, which took 10.2x as long on the benchmark's
+    14-18 vertex graphs; a sweep asks ``_drop_set`` only after its cheaper
+    rungs (``harness``).
     """
     if tau is None:
         tau, _ = toughness(g)
     if not tau.is_finite:
         return None
     t = tau.value
-    return t if all(_drop_set(g, t, e) is not None for e in g.edges()) else None
+    lead = _edge_orbits(g, _automorphisms(g))
+    firsts = (e for i, e in enumerate(g.edges()) if lead[i] == i)
+    return t if all(_drop_set(g, t, e) is not None for e in firsts) else None
 
 
 def _build_witness(
