@@ -10,7 +10,11 @@ connected graphs one vertex v at a time and drops a child when a non-cut
 vertex outranks v by (degree, sorted neighbour degrees), the first test of
 canonical augmentation (McKay 1998; proof at ``_dedup_levels``).
 Survivors are told apart by certificate and canonicalized once per class.
-Desk scale only.
+The key search also harvests the automorphisms that give each class its
+edge orbits.  For the single-graph queries, whose graphs may lie far past
+the dedup cap, ``_automorphisms`` finds automorphisms in polynomial time by
+equitable refinement and individualization without backtracking.  Desk
+scale only.
 """
 
 from __future__ import annotations
@@ -189,10 +193,10 @@ def _refine(nbr: tuple[int, ...], cells: list[int], queue: deque[int]) -> None:
     Each splitter W taken from ``queue`` splits every cell by the number of
     neighbours in W, into fragments in count order.  All fragments but the
     first largest join the queue; the counts into that one follow from its
-    parent's and its siblings' (Hopcroft 1971), so ``queue`` must hold the
-    unit cell, or the vertex just split off an equitable partition.  Every
-    step depends only on counts, sizes and positions, so relabeling the
-    graph relabels the result.
+    parent's and its siblings' (Hopcroft 1971).  So ``queue`` must start
+    as the unit cell, or as the vertex just split off an equitable
+    partition.  Every step depends only on counts, sizes and positions, so
+    relabeling the graph relabels the result.
     """
     while queue:
         w = queue.popleft()
@@ -246,11 +250,11 @@ def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
     _refine(nbr, cells, deque(cells))
     path: list[tuple[list[int], int]] = []  # (cells, target index) per level
 
-    def leaf(cells: list[int], path: list | None = None) -> list[int]:
+    def leaf(cells: list[int], record: list | None = None) -> list[int]:
         while len(cells) < n:
             i = next(i for i, x in enumerate(cells) if x & (x - 1))
-            if path is not None:
-                path.append((cells, i))
+            if record is not None:
+                record.append((cells, i))
             cells = _individualized(nbr, cells, i, (cells[i] & -cells[i]).bit_length() - 1)
         return [x.bit_length() - 1 for x in cells]
 

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -13,6 +14,7 @@ from toughkit import (
 )
 from toughkit import enumeration
 from toughkit.enumeration import (
+    _automorphisms,
     _certificate,
     _dedup_levels,
     _edge_orbits,
@@ -271,10 +273,16 @@ def _brute_force_edge_orbits(g):
     return tuple(edges.index(min(orbit[e], key=edges.index)) for e in edges)
 
 
+def _is_automorphism(g, p):
+    return sorted(p) == list(range(g.n)) and all(g.has_edge(p[u], p[v]) for u, v in g.edges())
+
+
 def test_harvested_automorphisms_give_the_edge_orbits(monkeypatch):
     # every permutation the key search harvests is an automorphism of its
     # representative (n <= 8), and for n <= 6 the orbits they generate are
-    # those of the whole automorphism group
+    # those of the whole automorphism group.  The individualization-
+    # refinement harvest, which never backtracks, gives exactly the same
+    # orbits on every class with n <= 8, from automorphisms only
     harvested = {k: [] for k in range(1, 9)}
 
     def recording(g, automorphisms):
@@ -283,20 +291,41 @@ def test_harvested_automorphisms_give_the_edge_orbits(monkeypatch):
         return key
 
     monkeypatch.setattr(enumeration, "canonical_key", recording)
-    edges = orbits = 0
+    edges, orbits = {7: 0, 8: 0}, {7: 0, 8: 0}
     for k, level in zip(range(1, 9), _dedup_levels()):
         for (g, lead), (key, autos) in zip(level, sorted(harvested[k]), strict=True):
             assert g == graph_from_key(k, key)
             for p in autos:
-                assert sorted(p) == list(range(k)), (g, p)
-                assert all(g.has_edge(p[u], p[v]) for u, v in g.edges()), (g, p)
+                assert _is_automorphism(g, p), (g, p)
             assert lead == _edge_orbits(g, autos)
+            refined = _automorphisms(g)
+            for p in refined:
+                assert _is_automorphism(g, p), (g, p)
+            assert _edge_orbits(g, refined) == lead, g
             if k <= 6:
                 assert lead == _brute_force_edge_orbits(g), g
-            if k <= 7:
-                edges += len(lead)
-                orbits += sum(j == i for i, j in enumerate(lead))
-    assert (edges, orbits) == (10_664, 6_425)
+            for top in (7, 8):
+                if k <= top:
+                    edges[top] += len(lead)
+                    orbits[top] += sum(j == i for i, j in enumerate(lead))
+    assert (edges[7], orbits[7]) == (10_664, 6_425)
+    assert (edges[8], orbits[8]) == (170_884, 124_154)
+
+
+@pytest.mark.parametrize(
+    "g, orbits",
+    [(zoo.comb_tree(), 18), (zoo.circulant(64, (1, 2)), 2), (zoo.path(64), 32)],
+    ids=["comb39", "C64(1,2)", "P64"],
+)
+def test_automorphism_harvest_is_fast_where_the_key_search_is_not(g, orbits):
+    # canonical_key did not finish within 30 s on the comb tree; the
+    # harvest took 0.7-4 ms on each of these
+    start = time.perf_counter()
+    autos = _automorphisms(g)
+    assert time.perf_counter() - start < 1.0
+    assert all(_is_automorphism(g, p) for p in autos)
+    lead = _edge_orbits(g, autos)
+    assert sum(j == i for i, j in enumerate(lead)) == orbits
 
 
 def test_labeled_connected_counts():

@@ -26,7 +26,7 @@ from toughkit.enumeration import (
     enumerate_connected_graphs,
     enumerate_trees,
 )
-from toughkit.mintough import _build_witness, _edge_witness
+from toughkit.mintough import _build_witness, _drop_set, _edge_witness
 from toughkit.recognition import _twok2_verdict
 from toughkit.toughness import _cutsets
 
@@ -128,6 +128,63 @@ def test_separating_scan_work(count_components, g, value, budget):
     tau, _ = toughness(g)
     count_components(budget, "per-edge scans")
     assert minimal_toughness_value(g, tau) == value
+
+
+@pytest.mark.parametrize(
+    "g, value, budget, no_alpha",
+    [
+        (zoo.circulant(16, (1, 2)), F(2), 1_229, True),
+        (zoo.circulant(16, (1, 2, 3)), F(3), 9_572, True),
+        (_dense_gnp(16, 0.6, 5), None, 156, False),
+    ],
+    ids=["C16(1,2)", "C16(1,2,3)", "G(16,0.6)"],
+)
+def test_every_edge_scan_work(monkeypatch, count_components, g, value, budget, no_alpha):
+    # ``_drop_set`` asked on every edge in turn, as the decision asked it
+    # before it took one edge per orbit, keeps the counts of
+    # ``test_separating_scan_work`` and, on the circulants, builds no
+    # independence number (``test_per_edge_scans_work``)
+    module = importlib.import_module("toughkit.toughness")
+    tau, _ = toughness(g)
+    count_components(budget, "per-edge scans")
+    if no_alpha:
+        def independence_number(nbr, pool):
+            raise AssertionError("_independence_number ran on a circulant")
+
+        monkeypatch.setattr(module, "_independence_number", independence_number)
+    t = tau.value
+    assert (t if all(_drop_set(g, t, e) is not None for e in g.edges()) else None) == value
+
+
+@pytest.mark.parametrize(
+    "g, calls",
+    [(zoo.circulant(16, (1, 2)), 2), (zoo.cycle(16), 1), (_dense_gnp(16, 0.6, 5), 1)],
+    ids=["C16(1,2)", "C16", "G(16,0.6)"],
+)
+def test_decision_asks_one_edge_per_orbit(monkeypatch, g, calls):
+    # C_16(1,2) has two edge orbits and C_16 one; the G(16, 0.6) has no
+    # symmetry and its first edge already keeps the toughness
+    module = importlib.import_module("toughkit.mintough")
+    asked = []
+    real = module._drop_set
+    monkeypatch.setattr(module, "_drop_set", lambda *a, **k: asked.append(a) or real(*a, **k))
+    minimal_toughness_value(g)
+    assert len(asked) == calls
+
+
+def test_orbit_decision_matches_every_edge_decision_up_to_7():
+    # the decision asks one edge per harvested orbit; asking every edge
+    # must give the same answer on each of the 996 classes with n <= 7
+    classes = 0
+    for n in range(1, 8):
+        for g in enumerate_connected_graphs(n, dedup=True):
+            classes += 1
+            tau, _ = toughness(g)
+            expected = None
+            if tau.is_finite and all(_drop_set(g, tau.value, e) is not None for e in g.edges()):
+                expected = tau.value
+            assert minimal_toughness_value(g, tau) == expected, g
+    assert classes == 996
 
 
 def test_is_minimally_t_tough_stops_when_toughness_differs(monkeypatch):

@@ -9,7 +9,9 @@ edge's ends in G - e.  The
 cutset scan's depth-first walk is compared with the plain per-size scan,
 kept here as ``_combinations_cutsets``, on graphs of 11-16 vertices, G(n,p)
 with p up to 0.7 among them, where the walk runs, and on fixed pools that
-leave vertices out of a dense G(16, 0.6) less an edge.
+leave vertices out of a dense G(16, 0.6) less an edge.  The minimal-
+toughness decision, which asks one edge per automorphism orbit, is
+compared with asking every edge.
 """
 
 import importlib
@@ -37,8 +39,9 @@ from toughkit import (
     twok2_neighborhood_witness,
     vertex_connectivity,
 )
-from toughkit.enumeration import _labeled_graphs, enumerate_connected_graphs
+from toughkit.enumeration import _automorphisms, _labeled_graphs, enumerate_connected_graphs
 from toughkit.graphs import component_count
+from toughkit.mintough import _drop_set
 from toughkit.toughness import _alpha_sums, _tight_pool
 from toughkit.toughness import _cutsets as _cutsets_under_test
 
@@ -129,6 +132,19 @@ def test_minimal_toughness_value_matches_definition(g):
     ):
         expected = tau.value
     assert minimal_toughness_value(g) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(12))
+def test_orbit_decision_matches_every_edge_decision(g):
+    # one edge per orbit of the harvested automorphisms, against every edge
+    for p in _automorphisms(g):
+        assert all(g.has_edge(p[u], p[v]) for u, v in g.edges())
+    tau, _ = toughness(g)
+    expected = None
+    if tau.is_finite and all(_drop_set(g, tau.value, e) is not None for e in g.edges()):
+        expected = tau.value
+    assert minimal_toughness_value(g, tau) == expected
 
 
 @settings(max_examples=100, deadline=None)
