@@ -5,15 +5,15 @@ encoding over all vertex permutations, in the same upper-triangle
 column-major bit order used by the graph6 format.  One pruned depth-first
 search over vertex placements (``_min_encoding``) computes it, and also the
 cheaper ``_certificate``, which searches only the orderings that respect the
-colour-refined vertex partition.  The isomorph-free enumeration grows
-connected graphs one vertex v at a time and drops a child when a non-cut
-vertex outranks v by (degree, sorted neighbour degrees), the first test of
-canonical augmentation (McKay 1998; proof at ``_dedup_levels``).
-Survivors are told apart by certificate and canonicalized once per class.
-The key search also harvests the automorphisms that give each class its
-edge orbits.  For the single-graph queries, whose graphs may lie far past
-the dedup cap, ``_automorphisms`` finds automorphisms in polynomial time by
-equitable refinement and individualization without backtracking.  Desk
+equitable vertex partition that ``_refine`` gives.  The isomorph-free
+enumeration grows connected graphs one vertex v at a time and drops a child
+when a non-cut vertex outranks v by (degree, sorted neighbour degrees), the
+first test of canonical augmentation (McKay 1998; proof at
+``_dedup_levels``).  Survivors are told apart by certificate and
+canonicalized once per class.  ``_automorphisms`` finds automorphisms in
+polynomial time by the same refinement and individualization without
+backtracking; they give the edge orbits of the dedup sweep and of the
+single-graph queries, whose graphs may lie far past the dedup cap.  Desk
 scale only.
 """
 
@@ -30,7 +30,7 @@ MAX_DEDUP_N = 8
 MAX_LABELED_N = 7
 
 
-def canonical_key(g: Graph, automorphisms: list[tuple[int, ...]] | None = None) -> int:
+def canonical_key(g: Graph) -> int:
     """Lexicographically minimal adjacency encoding, as an integer.
 
     Bits are ordered (0,1), (0,2), (1,2), (0,3), ... with the first pair in
@@ -38,15 +38,12 @@ def canonical_key(g: Graph, automorphisms: list[tuple[int, ...]] | None = None) 
     lexicographic comparison of equal-length bit strings.  The search is
     exponential on sparse graphs with many near-ties: it did not finish in
     30 s on a 39-vertex comb tree.  On the CLI path only the dedup
-    enumeration (n <= 8) calls it.  Given a list, the search also appends
-    to it permutations p (vertex i to p[i]) that generate the automorphism
-    group of ``graph_from_key(g.n, key)`` (see ``_min_encoding``).
+    enumeration (n <= 8) calls it.
     """
-    return _min_encoding(g._nbr, [(1 << g.n) - 1] * g.n, automorphisms)
+    return _min_encoding(g._nbr, [(1 << g.n) - 1] * g.n)
 
 
-def _min_encoding(nbr: tuple[int, ...], cells: list[int],
-                  automorphisms: list[tuple[int, ...]] | None = None) -> int:
+def _min_encoding(nbr: tuple[int, ...], cells: list[int]) -> int:
     """Least adjacency encoding over the orderings whose k-th vertex lies in
     the vertex mask ``cells[k]``.
 
@@ -57,14 +54,6 @@ def _min_encoding(nbr: tuple[int, ...], cells: list[int],
     skipped while a lower-indexed twin (N(v) - w == N(w) - v) is unplaced in
     the same cell: swapping the two is an automorphism that fixes every
     placed vertex and every cell, so both branches give the same encodings.
-
-    ``automorphisms``, if given, gets the twin swaps and, for every leaf
-    whose encoding equals that of the first least leaf B, the map from B to
-    it, all relabeled as B places the vertices.  With every position free,
-    these generate the automorphism group (McKay & Piperno 2014): the least
-    leaves are the images of B under it, the least-column rule keeps them
-    all, and sorting twins by index takes each one to a leaf the twin rule
-    keeps.
     """
     n = len(nbr)
     total = n * (n - 1) // 2
@@ -74,16 +63,12 @@ def _min_encoding(nbr: tuple[int, ...], cells: list[int],
     ]
     best = 1 << total  # above every encoding
     placed: list[int] = []
-    leaves: list[tuple[int, ...]] = []  # the placements that reach best, first to last
 
     def extend(prefix: int, used: int) -> None:
         nonlocal best
         k = len(placed)
         if k == n:
-            if prefix < best:
-                best = prefix
-                leaves.clear()
-            leaves.append(tuple(placed))
+            best = min(best, prefix)
             return
         free = cells[k] & ~used
         least, ties = 1 << k, []
@@ -108,44 +93,20 @@ def _min_encoding(nbr: tuple[int, ...], cells: list[int],
             placed.pop()
 
     extend(0, 0)
-    if automorphisms is not None:
-        at = [0] * n
-        for i, v in enumerate(leaves[0]):
-            at[v] = i
-        automorphisms += (tuple(at[v] for v in leaf) for leaf in leaves[1:])
-        for v, w in combinations(range(n), 2):
-            if low_twins[w] >> v & 1:
-                swap = list(range(n))
-                swap[at[v]], swap[at[w]] = at[w], at[v]
-                automorphisms.append(tuple(swap))
     return best
 
 
 def _certificate(nbr: tuple[int, ...]) -> int:
     """A complete isomorphism invariant, cheaper to compute than the key.
 
-    Colour refinement starts from the degrees; each round ranks every
-    vertex by (colour, sorted neighbour colours) until the number of colours
-    stops growing.  The ordered partition is isomorphism-invariant, and the
-    least encoding over orderings that respect it is that of a relabeled
-    copy, so two graphs on n vertices have equal certificates exactly when
-    they are isomorphic.
+    ``_refine`` makes the unit partition equitable.  The ordered partition
+    is isomorphism-invariant, and the least encoding over orderings that
+    respect it is that of a relabeled copy, so two graphs on n vertices
+    have equal certificates exactly when they are isomorphic.
     """
-    n = len(nbr)
-    colour = [m.bit_count() for m in nbr]
-    count = len(set(colour))
-    adj = [[u for u in range(n) if m >> u & 1] for m in nbr]
-    while True:
-        sigs = [(colour[v], tuple(sorted([colour[u] for u in adj[v]]))) for v in range(n)]
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        colour = [rank[s] for s in sigs]
-        if len(rank) == count:
-            break
-        count = len(rank)
-    cells = [0] * count
-    for v in range(n):
-        cells[colour[v]] |= 1 << v
-    return _min_encoding(nbr, [cells[c] for c in sorted(colour)])
+    cells = [(1 << len(nbr)) - 1]
+    _refine(nbr, cells, deque(cells))
+    return _min_encoding(nbr, [x for x in cells for _ in range(x.bit_count())])
 
 
 def _labeled_graphs(n: int, connected_only: bool) -> Iterator[Graph]:
@@ -298,9 +259,9 @@ def _edge_orbits(g: Graph, automorphisms: list[tuple[int, ...]]) -> tuple[int, .
     return tuple(lead)
 
 
-def _dedup_levels() -> Iterator[list[tuple[Graph, tuple[int, ...]]]]:
+def _dedup_levels() -> Iterator[list[Graph]]:
     """Level k = 1, 2, ...: a canonical representative per connected class,
-    in key order, each with its ``_edge_orbits``.
+    in key order.
 
     Every connected graph has a non-cut vertex, whose deletion leaves a
     connected graph, so attaching a new vertex v to every non-empty neighbor
@@ -310,18 +271,13 @@ def _dedup_levels() -> Iterator[list[tuple[Graph, tuple[int, ...]]]]:
     of largest invariant in a connected G; G - m is connected, so some
     representative P is isomorphic to it, and the child of P that is G with
     its new vertex at m is kept.  Survivors are told apart by
-    ``_certificate``; the lex-min key is computed once per class, by the
-    search that also finds the automorphisms.
+    ``_certificate``; the lex-min key is computed once per class.
     """
     k, classes = 1, {0: (0,)}
     while True:
-        keyed = []
-        for m in classes.values():
-            automorphisms: list[tuple[int, ...]] = []
-            keyed.append((canonical_key(Graph._from_masks(k, m), automorphisms), automorphisms))
-        keyed.sort()  # keys are distinct
-        reps = [graph_from_key(k, key) for key, _ in keyed]
-        yield [(g, _edge_orbits(g, autos)) for g, (_, autos) in zip(reps, keyed)]
+        reps = [graph_from_key(k, key) for key in
+                sorted(canonical_key(Graph._from_masks(k, m)) for m in classes.values())]
+        yield reps
         k, classes = k + 1, {}
         for g in reps:
             for sub in range(1, 1 << (k - 1)):
@@ -339,7 +295,7 @@ def enumerate_connected_graphs(n: int, dedup: bool) -> Iterator[Graph]:
     representative per isomorphism class, in increasing canonical-key order.
     """
     _check_n(n, dedup)
-    yield from ((g for g, _ in next(islice(_dedup_levels(), n - 1, None))) if dedup
+    yield from (next(islice(_dedup_levels(), n - 1, None)) if dedup
                 else _labeled_graphs(n, connected_only=True))
 
 

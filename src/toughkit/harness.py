@@ -45,7 +45,9 @@ from fractions import Fraction
 from itertools import compress
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .enumeration import _check_n, _dedup_levels, enumerate_connected_graphs
+from .enumeration import (
+    _automorphisms, _check_n, _dedup_levels, _edge_orbits, enumerate_connected_graphs,
+)
 from .families import (
     delete_and_complete,
     is_long_cycle,
@@ -90,7 +92,10 @@ class EnumerationSource:
     mode="auto" enumerates labeled graphs for n <= 6 and one representative
     per isomorphism class for larger n; "labeled"/"dedup" force one mode.
     Both modes must produce identical suite verdicts.  Each n is checked
-    against the cap of the mode it uses here, before any work.
+    against the cap of the mode it uses here, before any work.  A dedup
+    representative comes with the edge orbits of ``_automorphisms``.  A
+    labeled graph comes with none: the memo already holds most of what its
+    orbits would save, and harvesting them cost more than that.
     """
 
     def __init__(self, ns: Iterable[int], mode: str = "auto"):
@@ -117,9 +122,11 @@ class EnumerationSource:
     def __iter__(self) -> Iterator[tuple[Graph, Sequence[int] | None, None]]:
         levels = enumerate(_dedup_levels(), start=1)
         for n in self.ns:  # sorted: one run builds each dedup level once
-            yield from ((g, orbits, None) for g, orbits in (
-                next(level for k, level in levels if k == n) if self._dedup(n)
-                else ((g, None) for g in enumerate_connected_graphs(n, dedup=False))))
+            if self._dedup(n):
+                level = next(level for k, level in levels if k == n)
+                yield from ((g, _edge_orbits(g, _automorphisms(g)), None) for g in level)
+            else:
+                yield from ((g, None, None) for g in enumerate_connected_graphs(n, dedup=False))
 
 
 class Graph6Source:

@@ -163,7 +163,7 @@ def test_filtered_levels_match_unfiltered_growth_up_to_n7(monkeypatch):
         assert set(classes) == certified[k]
         reps = [graph_from_key(k, key) for key in
                 sorted(canonical_key(Graph._from_masks(k, m)) for m in classes.values())]
-        assert reps == [g for g, _ in filtered[k]]
+        assert reps == filtered[k]
 
 
 def test_n7_level_certifies_at_most_1477_candidates(monkeypatch):
@@ -277,39 +277,49 @@ def _is_automorphism(g, p):
     return sorted(p) == list(range(g.n)) and all(g.has_edge(p[u], p[v]) for u, v in g.edges())
 
 
-def test_harvested_automorphisms_give_the_edge_orbits(monkeypatch):
-    # every permutation the key search harvests is an automorphism of its
-    # representative (n <= 8), and for n <= 6 the orbits they generate are
-    # those of the whole automorphism group.  The individualization-
-    # refinement harvest, which never backtracks, gives exactly the same
-    # orbits on every class with n <= 8, from automorphisms only
-    harvested = {k: [] for k in range(1, 9)}
+def _full_group(g):
+    """Every automorphism of g (vertex i to p[i]), from networkx's VF2
+    matcher, which shares no code with the harvest."""
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    matcher = nx.algorithms.isomorphism.GraphMatcher(h, h)
+    return [tuple(m[v] for v in range(g.n)) for m in matcher.isomorphisms_iter()]
 
-    def recording(g, automorphisms):
-        key = canonical_key(g, automorphisms)
-        harvested[g.n].append((key, automorphisms))
-        return key
 
-    monkeypatch.setattr(enumeration, "canonical_key", recording)
+def test_harvested_automorphisms_give_the_edge_orbits():
+    # the refinement harvest, which never backtracks, finds automorphisms
+    # only, and its orbits are those of the whole group: networkx's on
+    # every class with n <= 7 (13,287 automorphisms) and brute force over
+    # all n! permutations for n <= 6.  The digest pins the graph6 line and
+    # the orbits of every class of levels 1..8; it was taken when the
+    # dedup sweep still read its orbits off the key search
+    digest = hashlib.sha256()
     edges, orbits = {7: 0, 8: 0}, {7: 0, 8: 0}
+    group = 0
     for k, level in zip(range(1, 9), _dedup_levels()):
-        for (g, lead), (key, autos) in zip(level, sorted(harvested[k]), strict=True):
-            assert g == graph_from_key(k, key)
+        for g in level:
+            autos = _automorphisms(g)
             for p in autos:
                 assert _is_automorphism(g, p), (g, p)
-            assert lead == _edge_orbits(g, autos)
-            refined = _automorphisms(g)
-            for p in refined:
-                assert _is_automorphism(g, p), (g, p)
-            assert _edge_orbits(g, refined) == lead, g
+            lead = _edge_orbits(g, autos)
+            if k <= 7:
+                full = _full_group(g)
+                group += len(full)
+                assert lead == _edge_orbits(g, full), g
             if k <= 6:
                 assert lead == _brute_force_edge_orbits(g), g
+            digest.update(f"{encode_graph6(g)} {','.join(map(str, lead))}\n".encode())
             for top in (7, 8):
                 if k <= top:
                     edges[top] += len(lead)
                     orbits[top] += sum(j == i for i, j in enumerate(lead))
+    assert group == 13_287
     assert (edges[7], orbits[7]) == (10_664, 6_425)
     assert (edges[8], orbits[8]) == (170_884, 124_154)
+    assert digest.hexdigest() == (
+        "446f7aae7d370d247beed69179123930a2dbbf7d51d20c7a277c364687863907")
 
 
 @pytest.mark.parametrize(

@@ -369,9 +369,10 @@ def test_scan_and_reports_read_one_stream(source, monkeypatch):
 
 def _count_sweep_work(monkeypatch, budget):
     """Count toughness searches, the toughness module's component counts,
-    its walk tables and ``canonical_key`` calls, each failing once it runs
-    past its entry of ``budget``; returns the live counts."""
-    from toughkit import enumeration
+    its walk tables, ``canonical_key`` calls and automorphism harvests,
+    each failing once it runs past its entry of ``budget``; returns the
+    live counts."""
+    from toughkit import enumeration, mintough
 
     module = importlib.import_module("toughkit.toughness")
     calls = dict.fromkeys(budget, 0)
@@ -389,13 +390,17 @@ def _count_sweep_work(monkeypatch, budget):
     monkeypatch.setattr(module, "neighbourhood_tables",
                         counted("tables", module.neighbourhood_tables))
     monkeypatch.setattr(enumeration, "canonical_key", counted("key", enumeration.canonical_key))
+    harvest = counted("automorphisms", enumeration._automorphisms)
+    for owner in (enumeration, harness, mintough):
+        monkeypatch.setattr(owner, "_automorphisms", harvest)
     return calls
 
 
 def test_dedup_sweep_work(monkeypatch):
     # verify all --enumerate 7 --dedup always: toughness searches and the
     # toughness module's component counts, each against its budget, and one
-    # canonical_key call per class of levels 1..7.  Searching every g - e
+    # canonical_key call and one automorphism harvest per class of levels
+    # 1..7.  Searching every g - e
     # and expansion took 7,045 searches and 112,327 counts, rebuilding
     # levels 1..n-1 for every n took 1,180 keys, toughness without the
     # V - I seed made 93,494 counts, and witness searches that drew tight
@@ -408,10 +413,10 @@ def test_dedup_sweep_work(monkeypatch):
 
     module = importlib.import_module("toughkit.toughness")
     assert max(math.comb(9, size) for size in range(10)) <= module._WALK_ABOVE
-    calls = _count_sweep_work(
-        monkeypatch, {"search": 2_589, "count": 45_963, "key": 996, "tables": 0})
+    calls = _count_sweep_work(monkeypatch, {
+        "search": 2_589, "count": 45_963, "key": 996, "tables": 0, "automorphisms": 996})
     assert cli.run(["verify", "all", "--enumerate", "7", "--dedup", "always"], io.StringIO()) == 1
-    assert calls["key"] == 996
+    assert calls["key"] == calls["automorphisms"] == 996
 
 
 def test_scan_sweep_work(monkeypatch):
@@ -421,9 +426,18 @@ def test_scan_sweep_work(monkeypatch):
     # edge per automorphism orbit 2,101 searches and 40,719 counts
     from toughkit import cli
 
-    calls = _count_sweep_work(
-        monkeypatch, {"search": 1_593, "count": 30_461, "key": 996, "tables": 0})
+    calls = _count_sweep_work(monkeypatch, {
+        "search": 1_593, "count": 30_461, "key": 996, "tables": 0, "automorphisms": 996})
     assert cli.run(["scan", "--enumerate", "7", "--dedup", "always"], io.StringIO()) == 0
+    assert calls["key"] == calls["automorphisms"] == 996
+
+
+def test_dedup_enumeration_harvests_no_automorphisms(monkeypatch):
+    # the level builder keys each class and nothing more: orbits are the
+    # sweep's business
+    calls = _count_sweep_work(monkeypatch, {
+        "search": 0, "count": 0, "key": 996, "tables": 0, "automorphisms": 0})
+    assert sum(1 for _ in enumerate_connected_graphs(7, dedup=True)) == 853
     assert calls["key"] == 996
 
 
